@@ -17,12 +17,14 @@
 //!   outputs);
 //! * [`time_scale_ratio`] — the granularity gap between a cell-time step in
 //!   the network simulator and a clock step in the HDL simulator
-//!   ("a ratio of ≈1:400 for a simulation time step in OPNET and VSS").
+//!   ("a ratio of ≈1:400 for a simulation time step in OPNET and VSS");
+//! * [`first_clock_at_or_after`] — the stamp→clock rule every follower
+//!   uses to place a cell's first octet.
 
 use crate::error::CastanetError;
 use castanet_atm::addr::HeaderFormat;
 use castanet_atm::cell::{AtmCell, CELL_OCTETS};
-use castanet_netsim::time::SimDuration;
+use castanet_netsim::time::{SimDuration, SimTime};
 
 /// One byte-wide bus operation: what the `atmdata`/`cellsync` port pair
 /// carries during one clock cycle.
@@ -189,6 +191,30 @@ impl ByteStreamAssembler {
 pub fn time_scale_ratio(cell_time: SimDuration, clock_period: SimDuration) -> f64 {
     assert!(!clock_period.is_zero(), "clock period must be non-zero");
     cell_time.as_secs_f64() / clock_period.as_secs_f64()
+}
+
+/// The stamp→clock rule: the index `k` of the first rising clock edge at
+/// or after `t`, for a clock that starts low and rises at
+/// `period / 2 + k · period`. A cell stamped `t` puts its first octet on
+/// edge `k` — in the event-driven entity and in the cycle-level follower
+/// alike, so both engines sample the same clock for the same stamp.
+///
+/// # Examples
+///
+/// ```
+/// use castanet::convert::first_clock_at_or_after;
+/// use castanet_netsim::time::{SimDuration, SimTime};
+///
+/// let p = SimDuration::from_ns(20); // edges at 10, 30, 50, … ns
+/// assert_eq!(first_clock_at_or_after(SimTime::ZERO, p), 0);
+/// assert_eq!(first_clock_at_or_after(SimTime::from_ns(10), p), 0);
+/// assert_eq!(first_clock_at_or_after(SimTime::from_ns(11), p), 1);
+/// assert_eq!(first_clock_at_or_after(SimTime::from_ns(30), p), 1);
+/// ```
+#[must_use]
+pub fn first_clock_at_or_after(t: SimTime, period: SimDuration) -> u64 {
+    let period = period.as_picos();
+    t.as_picos().saturating_sub(period / 2).div_ceil(period)
 }
 
 /// Packs a slice of octets into 64-bit words, little-endian within each

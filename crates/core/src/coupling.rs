@@ -110,7 +110,7 @@ pub trait CoupledSimulator {
     /// external state (hardware boards, remote processes, boxed
     /// event-driven simulators). Deterministic in-process followers
     /// ([`crate::cyclecosim::CycleCosim`],
-    /// [`crate::compiledcosim::CompiledCosim`]) override it with a deep
+    /// [`crate::cyclecosim::CompiledCosim`]) override it with a deep
     /// copy.
     fn fork(&self) -> Option<Self>
     where
@@ -536,7 +536,12 @@ impl<S: CoupledSimulator> Coupling<S> {
             // pure waste.
             let horizon = match t_net {
                 Some(t) => t,
-                None => (self.follower.now().max(self.net.now()) + self.drain_quantum).min(until),
+                None => drain_horizon(
+                    self.promised,
+                    self.follower.now().max(self.net.now()),
+                    self.drain_quantum,
+                    until,
+                ),
             };
 
             // Time update: the originator promises no stimulus before
@@ -716,6 +721,22 @@ impl<S: CoupledSimulator> Coupling<S> {
         .with_strict(self.strict)
         .with_telemetry(&self.tel)
     }
+}
+
+/// The drain-horizon rule shared by the serial and parallel executors: one
+/// `quantum` past the furthest of the largest grant already promised and
+/// the engines' clocks (`local`), capped at `until`. Measured from the
+/// promise, successive drain chunks always move forward: an event-driven
+/// follower's `now()` stays at its last executed event, so a horizon
+/// measured from `now()` alone can re-cover the same stretch chunk after
+/// chunk and end the drain before the DUT's last cell is out.
+pub(crate) fn drain_horizon(
+    promised: SimTime,
+    local: SimTime,
+    quantum: SimDuration,
+    until: SimTime,
+) -> SimTime {
+    (promised.max(local) + quantum).min(until)
 }
 
 /// The error-level static checks shared by [`Coupling::preflight`] and

@@ -1,25 +1,48 @@
-//! The cycle-based follower — the paper's §5 conclusion, implemented.
+//! The cycle-level follower — the paper's §5 conclusion, implemented.
 //!
 //! "Event-driven VHDL simulators are obviously a bottleneck in the
 //! co-verification process. … Thus, the integration of cycle-based
-//! simulation techniques is required." [`CycleCosim`] is that integration:
-//! the same pin-level DUT runs under the cycle engine, one `clock_edge`
-//! call per clock, with **idle skipping** — when no stimulus is pending and
-//! the DUT reports quiescence ([`castanet_rtl::cycle::CycleDut::is_idle`]),
-//! whole stretches of simulated time advance in O(1). The E1/E7 benches
-//! compare this follower against the event-driven [`crate::RtlCosim`] on
-//! identical workloads.
+//! simulation techniques is required." [`ClockedCosim`] is that
+//! integration: the §3.2 cell↔pin abstraction interface, written once over
+//! any [`ClockedEngine`] and driving it one clock edge per call. Two
+//! engines instantiate it:
+//!
+//! * [`CycleCosim`] over [`CycleSim`] — one DUT instance;
+//! * [`CompiledCosim`] over [`LaneBank`] — up to 64 DUT instances stepped
+//!   by one clock edge.
+//!
+//! Lane 0 is the *coupled* lane: network stimulus lands there and its
+//! egress cells flow back as response messages. Lanes 1..N carry
+//! independent scenario instances seeded directly via
+//! [`ClockedCosim::seed_cell`]; their egress accumulates in per-lane
+//! traces read back with [`ClockedCosim::lane_cells`]. Lane 0 keeps no
+//! trace: its egress exists only as the returned responses.
+//!
+//! **Idle skipping**: when no lane has stimulus pending and every lane's
+//! DUT reports quiescence ([`castanet_rtl::cycle::CycleDut::is_idle`]),
+//! whole stretches of simulated time advance in O(1). A skipped clock is
+//! provably a no-op in every lane, so per-lane traces are invariant to how
+//! the other lanes are loaded, and with traffic on lane 0 only both
+//! engines evaluate and skip exactly the same clocks — the conformance
+//! suite pins this.
 
-use crate::convert::ByteStreamAssembler;
+use crate::convert::{first_clock_at_or_after, ByteStreamAssembler};
 use crate::coupling::CoupledSimulator;
 use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
 use castanet_atm::addr::HeaderFormat;
-use castanet_atm::cell::CELL_OCTETS;
+use castanet_atm::cell::{AtmCell, CELL_OCTETS};
 use castanet_netsim::time::{SimDuration, SimTime};
-use castanet_obs::{Gauge, Phase, Telemetry, Track};
-use castanet_rtl::cycle::CycleSim;
+use castanet_obs::{Counter, Gauge, Telemetry};
+use castanet_rtl::compiled::LaneBank;
+use castanet_rtl::cycle::{ClockedEngine, CycleSim, PortDecl};
 use std::collections::VecDeque;
+
+/// The cycle-engine follower: one DUT instance.
+pub type CycleCosim = ClockedCosim<CycleSim>;
+
+/// The compiled bit-parallel follower: up to 64 scenario lanes per edge.
+pub type CompiledCosim = ClockedCosim<LaneBank>;
 
 /// Indices (into the DUT's input port list) of one ingress line.
 #[derive(Debug, Clone, Copy)]
@@ -46,22 +69,47 @@ pub struct EgressIndices {
 #[derive(Clone)]
 struct IngressLine {
     idx: IngressIndices,
-    next_free_clock: u64,
+    /// Per-lane first clock free for the next cell's first byte.
+    next_free_clock: Vec<u64>,
 }
 
 #[derive(Clone)]
 struct EgressLine {
     idx: EgressIndices,
-    assembler: ByteStreamAssembler,
+    /// Per-lane cell reassembly state.
+    assemblers: Vec<ByteStreamAssembler>,
+    /// Per-lane egress traces; lane 0's cells leave as responses instead.
+    traces: Vec<Vec<AtmCell>>,
 }
 
-/// The cycle-based coupled follower with idle skipping.
-pub struct CycleCosim {
-    sim: CycleSim,
+/// Metric handles (no-ops until telemetry is attached).
+#[derive(Clone, Default)]
+struct FollowerObs {
+    enabled: bool,
+    /// `follower.clocks_evaluated`.
+    evaluated: Gauge,
+    /// `follower.clocks_skipped`.
+    skipped: Gauge,
+    /// `<engine>.lanes_active` — lanes with stimulus pending at the last
+    /// sweep (the coupled lane counts while the run is live).
+    lanes_active: Gauge,
+    /// `<engine>.queue_depth` — stimulus clocks queued at the last sweep
+    /// (the analogue of `rtl.queue_depth`).
+    queue_depth: Gauge,
+    /// `<engine>.idle_skips` — idle jumps taken (the analogue of
+    /// `rtl.wheel_cascade`: both count O(1) time leaps).
+    idle_skips: Counter,
+}
+
+/// The cell↔pin follower over a [`ClockedEngine`], with bank-wide idle
+/// skipping.
+pub struct ClockedCosim<E> {
+    engine: E,
     clock_period: SimDuration,
     clocks_done: u64,
-    /// Per-clock input words for clocks `clocks_done..`; `None` slots are
-    /// all-zero (idle line).
+    /// Per-clock input words for clocks `clocks_done..`, one word per
+    /// input port per lane, lane-major; `None` slots are all-zero (idle
+    /// lines in every lane).
     stimulus: VecDeque<Option<Vec<u64>>>,
     zero_inputs: Vec<u64>,
     ingress: Vec<IngressLine>,
@@ -71,80 +119,76 @@ pub struct CycleCosim {
     /// Clocks skipped thanks to idle detection.
     skipped: u64,
     undecodable: u64,
-    /// Clocks-evaluated gauge (a no-op until telemetry is attached).
-    obs_evaluated: Gauge,
-    /// Clocks-skipped gauge (a no-op until telemetry is attached).
-    obs_skipped: Gauge,
-    /// Telemetry handle for the sampled `cycle.eval` micro-phase.
-    tel: Telemetry,
-    /// End stamp of the last `cycle.eval` span, reused as the next span's
-    /// start when the very next clock is also sampled — halving the clock
-    /// reads on back-to-back sampled clocks. `0` means "stale": anything
-    /// that breaks clock adjacency (an unsampled clock, an idle skip, a
-    /// delivery, a new advance sweep) resets it.
-    phase_stamp: u64,
+    obs: FollowerObs,
 }
 
-impl std::fmt::Debug for CycleCosim {
+impl<E: ClockedEngine> std::fmt::Debug for ClockedCosim<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CycleCosim")
+        f.debug_struct("ClockedCosim")
+            .field("engine", &E::NAME)
+            .field("lanes", &self.engine.lanes())
             .field("clocks_done", &self.clocks_done)
             .field("skipped", &self.skipped)
             .finish()
     }
 }
 
-impl CycleCosim {
-    /// Wraps a cycle-engine DUT as a follower clocked at `clock_period`.
+impl<E: ClockedEngine> ClockedCosim<E> {
+    /// Wraps a clocked engine as a follower clocked at `clock_period`.
     #[must_use]
     pub fn new(
-        sim: CycleSim,
+        engine: E,
         clock_period: SimDuration,
         response_type: MessageTypeId,
         format: HeaderFormat,
     ) -> Self {
-        let zero_inputs = vec![0u64; sim.input_ports().len()];
-        CycleCosim {
-            sim,
+        ClockedCosim {
+            stimulus: VecDeque::new(),
+            zero_inputs: vec![0; engine.lanes() * engine.input_ports().len()],
+            engine,
             clock_period,
             clocks_done: 0,
-            stimulus: VecDeque::new(),
-            zero_inputs,
             ingress: Vec::new(),
             egress: Vec::new(),
             response_type,
             format,
             skipped: 0,
             undecodable: 0,
-            obs_evaluated: Gauge::default(),
-            obs_skipped: Gauge::default(),
-            tel: Telemetry::disabled(),
-            phase_stamp: 0,
+            obs: FollowerObs::default(),
         }
     }
 
-    /// Registers an ingress line; returns its co-simulation port index.
+    /// Registers an ingress line (same pin indices in every lane); returns
+    /// its co-simulation port index.
     pub fn add_ingress(&mut self, idx: IngressIndices) -> usize {
         self.ingress.push(IngressLine {
             idx,
-            next_free_clock: 0,
+            next_free_clock: vec![0; self.engine.lanes()],
         });
         self.ingress.len() - 1
     }
 
     /// Registers an egress line; returns its co-simulation port index.
     pub fn add_egress(&mut self, idx: EgressIndices) -> usize {
+        let lanes = self.engine.lanes();
         self.egress.push(EgressLine {
             idx,
-            assembler: ByteStreamAssembler::new(self.format),
+            assemblers: vec![ByteStreamAssembler::new(self.format); lanes],
+            traces: vec![Vec::new(); lanes],
         });
         self.egress.len() - 1
     }
 
-    /// Clocks actually evaluated.
+    /// Number of scenario lanes.
+    #[must_use]
+    pub fn lanes(&self) -> usize {
+        self.engine.lanes()
+    }
+
+    /// Clocks actually evaluated (each evaluation steps *every* lane).
     #[must_use]
     pub fn clocks_evaluated(&self) -> u64 {
-        self.sim.cycles()
+        self.engine.cycles()
     }
 
     /// Clocks skipped by idle detection.
@@ -153,25 +197,73 @@ impl CycleCosim {
         self.skipped
     }
 
-    /// DUT outputs that failed cell reassembly.
+    /// DUT output bytes that failed cell reassembly (any lane).
     #[must_use]
     pub fn undecodable(&self) -> u64 {
         self.undecodable
     }
 
-    /// Read access to the cycle engine.
+    /// Read access to the clocked engine.
     #[must_use]
-    pub fn sim(&self) -> &CycleSim {
-        &self.sim
+    pub fn engine(&self) -> &E {
+        &self.engine
     }
 
-    fn clock_at_or_after(&self, t: SimTime) -> u64 {
-        let period = self.clock_period.as_picos();
-        let ps = t.as_picos();
-        if ps <= period {
-            return 0;
+    /// Every cell lane `lane` emitted on egress line `port` so far, in
+    /// emission order. Only lanes 1..N keep traces: lane 0's egress can
+    /// only be read from the response messages the advance calls return.
+    ///
+    /// # Panics
+    ///
+    /// Panics for lane 0 and for a lane not below
+    /// [`ClockedCosim::lanes`].
+    #[must_use]
+    pub fn lane_cells(&self, port: usize, lane: usize) -> &[AtmCell] {
+        assert!(
+            lane > 0,
+            "lane 0's egress leaves as responses; lane_cells holds lanes 1..N"
+        );
+        &self.egress[port].traces[lane]
+    }
+
+    /// Schedules `cell` into lane `lane` on ingress line `port` at (or
+    /// after) `stamp` — the network's delivery path for lane 0, and the
+    /// direct seeding path the scenario sweep uses for every lane.
+    ///
+    /// # Errors
+    ///
+    /// [`CastanetError::UnknownPort`] for an unregistered ingress line;
+    /// conversion errors when the cell cannot be encoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is not below [`ClockedCosim::lanes`].
+    pub fn seed_cell(
+        &mut self,
+        lane: usize,
+        port: usize,
+        stamp: SimTime,
+        cell: &AtmCell,
+    ) -> Result<(), CastanetError> {
+        if port >= self.ingress.len() {
+            return Err(CastanetError::UnknownPort { port });
         }
-        ps.div_ceil(period) - 1
+        assert!(lane < self.engine.lanes(), "lane out of range");
+        let wire = cell.encode(self.format)?;
+        let start = first_clock_at_or_after(stamp, self.clock_period)
+            .max(self.ingress[port].next_free_clock[lane])
+            .max(self.clocks_done);
+        let idx = self.ingress[port].idx;
+        let ports = self.engine.input_ports().len();
+        let words = lane * ports..(lane + 1) * ports;
+        for (k, &byte) in wire.iter().enumerate() {
+            let slot = &mut self.slot_mut(start + k as u64)[words.clone()];
+            slot[idx.data] = u64::from(byte);
+            slot[idx.sync] = u64::from(k == 0);
+            slot[idx.enable] = 1;
+        }
+        self.ingress[port].next_free_clock[lane] = start + CELL_OCTETS as u64;
+        Ok(())
     }
 
     fn slot_mut(&mut self, clock: u64) -> &mut Vec<u64> {
@@ -184,60 +276,42 @@ impl CycleCosim {
     }
 
     fn run_clock(&mut self) -> Result<Vec<Message>, CastanetError> {
-        let inputs = match self.stimulus.pop_front().flatten() {
-            Some(v) => v,
-            None => self.zero_inputs.clone(),
-        };
-        // `cycle.eval` is a per-clock micro-phase: sampled 1-in-N, so the
-        // two clock reads are paid once per stride, not per clock. Across
-        // back-to-back sampled clocks the previous span's end stamp doubles
-        // as this span's start, halving even that residual cost.
-        let sampled = self.tel.micro_gate();
-        let eval_start = if sampled {
-            if self.phase_stamp != 0 {
-                self.phase_stamp
-            } else {
-                self.tel.now_ns()
-            }
-        } else {
-            self.phase_stamp = 0;
-            0
-        };
-        let outs = self.sim.step(&inputs)?;
+        let inputs = self.stimulus.pop_front().flatten();
+        let stamp = SimTime::from_picos((self.clocks_done + 1) * self.clock_period.as_picos());
+        self.engine.edge(
+            inputs.as_deref().unwrap_or(&self.zero_inputs),
+            stamp.as_picos(),
+        )?;
         self.clocks_done += 1;
-        let stamp = SimTime::from_picos(self.clocks_done * self.clock_period.as_picos());
-        if sampled {
-            self.phase_stamp = self.tel.record_phase(
-                Track::Follower,
-                stamp.as_picos(),
-                Phase::CycleEval,
-                eval_start,
-            );
-        }
         let mut responses = Vec::new();
         for (port, line) in self.egress.iter_mut().enumerate() {
-            if outs[line.idx.valid] != 1 {
-                continue;
-            }
-            let data = outs[line.idx.data] as u8;
-            let sync = outs[line.idx.sync] == 1;
-            match line.assembler.push(data, sync) {
-                Ok(Some(cell)) => responses.push(Message {
+            for lane in 0..self.engine.lanes() {
+                let outs = self.engine.lane_outputs(lane);
+                if outs[line.idx.valid] != 1 {
+                    continue;
+                }
+                let data = outs[line.idx.data] as u8;
+                let payload = match line.assemblers[lane].push(data, outs[line.idx.sync] == 1) {
+                    Ok(None) => continue,
+                    Ok(Some(cell)) if lane > 0 => {
+                        line.traces[lane].push(cell);
+                        continue;
+                    }
+                    Ok(Some(cell)) => MessagePayload::Cell(cell),
+                    Err(_) => {
+                        self.undecodable += 1;
+                        if lane > 0 {
+                            continue;
+                        }
+                        MessagePayload::Raw(vec![data])
+                    }
+                };
+                responses.push(Message {
                     stamp,
                     type_id: self.response_type,
                     port,
-                    payload: MessagePayload::Cell(cell),
-                }),
-                Ok(None) => {}
-                Err(_) => {
-                    self.undecodable += 1;
-                    responses.push(Message {
-                        stamp,
-                        type_id: self.response_type,
-                        port,
-                        payload: MessagePayload::Raw(vec![data]),
-                    });
-                }
+                    payload,
+                });
             }
         }
         Ok(responses)
@@ -250,33 +324,40 @@ impl CycleCosim {
     ) -> Result<Vec<Message>, CastanetError> {
         let period = self.clock_period.as_picos();
         let target = horizon.as_picos().div_ceil(period).saturating_sub(1);
-        // A new sweep starts from non-clock work (sync, delivery), so the
-        // cached span stamp no longer abuts the next evaluation.
-        self.phase_stamp = 0;
+        if self.obs.enabled {
+            // A lane has stimulus pending while some line's last queued
+            // octet is still ahead of the engine.
+            let active = (0..self.engine.lanes())
+                .filter(|&lane| {
+                    self.ingress
+                        .iter()
+                        .any(|l| l.next_free_clock[lane] > self.clocks_done)
+                })
+                .count();
+            self.obs.lanes_active.set(active as u64);
+            self.obs.queue_depth.set(self.stimulus.len() as u64);
+        }
         let mut collected = Vec::new();
         while self.clocks_done < target {
-            // Idle skip: no stimulus pending anywhere in the window and the
-            // DUT quiescent — jump straight to the next stimulus clock (or
-            // the horizon).
-            if self.sim.dut().is_idle() {
-                let next_stim = self
-                    .stimulus
-                    .iter()
-                    .position(Option::is_some)
-                    .map(|off| self.clocks_done + off as u64);
-                match next_stim {
+            // Idle skip: every lane's DUT quiescent and no stimulus
+            // pending in any lane's window — a clock edge would change
+            // nothing anywhere, so jump to the next stimulus clock (or the
+            // horizon) in O(1).
+            if self.engine.idle() {
+                match self.stimulus.iter().position(Option::is_some) {
                     None => {
                         self.skipped += target - self.clocks_done;
+                        self.obs.idle_skips.inc();
                         self.stimulus.clear();
                         self.clocks_done = target;
                         break;
                     }
-                    Some(c) if c > self.clocks_done => {
-                        let jump = (c - self.clocks_done).min(target - self.clocks_done);
+                    Some(off) if off > 0 => {
+                        let jump = (off as u64).min(target - self.clocks_done);
                         self.skipped += jump;
+                        self.obs.idle_skips.inc();
                         self.stimulus.drain(..jump as usize);
                         self.clocks_done += jump;
-                        self.phase_stamp = 0;
                         continue;
                     }
                     Some(_) => {}
@@ -296,37 +377,21 @@ impl CycleCosim {
     }
 
     fn publish_clock_gauges(&self) {
-        self.obs_evaluated.set(self.sim.cycles());
-        self.obs_skipped.set(self.skipped);
+        self.obs.evaluated.set(self.engine.cycles());
+        self.obs.skipped.set(self.skipped);
     }
 }
 
-impl CoupledSimulator for CycleCosim {
+impl<E: ClockedEngine> CoupledSimulator for ClockedCosim<E> {
     fn deliver(&mut self, msg: Message) -> Result<(), CastanetError> {
         let MessagePayload::Cell(cell) = &msg.payload else {
             return Err(CastanetError::Convert(format!(
-                "cycle follower can only play cell payloads, got {}",
+                "{} follower can only play cell payloads, got {}",
+                E::NAME,
                 msg.payload.kind()
             )));
         };
-        if msg.port >= self.ingress.len() {
-            return Err(CastanetError::UnknownPort { port: msg.port });
-        }
-        let wire = cell.encode(self.format)?;
-        let start = self
-            .clock_at_or_after(msg.stamp)
-            .max(self.ingress[msg.port].next_free_clock)
-            .max(self.clocks_done);
-        let idx = self.ingress[msg.port].idx;
-        for (k, &byte) in wire.iter().enumerate() {
-            let slot = self.slot_mut(start + k as u64);
-            slot[idx.data] = u64::from(byte);
-            slot[idx.sync] = u64::from(k == 0);
-            slot[idx.enable] = 1;
-        }
-        self.ingress[msg.port].next_free_clock = start + CELL_OCTETS as u64;
-        self.phase_stamp = 0;
-        Ok(())
+        self.seed_cell(0, msg.port, msg.stamp, cell)
     }
 
     fn advance_until(&mut self, horizon: SimTime) -> Result<Vec<Message>, CastanetError> {
@@ -345,29 +410,73 @@ impl CoupledSimulator for CycleCosim {
     }
 
     fn set_telemetry(&mut self, tel: &Telemetry) {
-        self.tel = tel.clone();
-        self.obs_evaluated = tel.gauge("follower.clocks_evaluated");
-        self.obs_skipped = tel.gauge("follower.clocks_skipped");
+        self.engine.set_telemetry(tel);
+        let name = |metric: &str| format!("{}.{metric}", E::NAME);
+        self.obs = FollowerObs {
+            enabled: tel.is_enabled(),
+            evaluated: tel.gauge("follower.clocks_evaluated"),
+            skipped: tel.gauge("follower.clocks_skipped"),
+            lanes_active: tel.gauge(&name("lanes_active")),
+            queue_depth: tel.gauge(&name("queue_depth")),
+            idle_skips: tel.counter(&name("idle_skips")),
+        };
     }
 
     fn fork(&self) -> Option<Self> {
-        Some(CycleCosim {
-            sim: self.sim.fork()?,
-            clock_period: self.clock_period,
-            clocks_done: self.clocks_done,
+        Some(ClockedCosim {
+            engine: self.engine.fork()?,
             stimulus: self.stimulus.clone(),
             zero_inputs: self.zero_inputs.clone(),
             ingress: self.ingress.clone(),
             egress: self.egress.clone(),
-            response_type: self.response_type,
-            format: self.format,
-            skipped: self.skipped,
-            undecodable: self.undecodable,
-            obs_evaluated: self.obs_evaluated.clone(),
-            obs_skipped: self.obs_skipped.clone(),
-            tel: self.tel.clone(),
-            phase_stamp: 0,
+            obs: self.obs.clone(),
+            ..*self
         })
+    }
+
+    /// `CAST150`/`CAST151`: every line's pin index must exist on the
+    /// engine and be wide enough for its role.
+    fn structural_preflight(&self) -> Vec<String> {
+        let mut findings = Vec::new();
+        let ins = self.ingress.iter().map(|l| {
+            let i = l.idx;
+            [("data", i.data), ("sync", i.sync), ("enable", i.enable)]
+        });
+        let outs = self.egress.iter().map(|l| {
+            let i = l.idx;
+            [("data", i.data), ("sync", i.sync), ("valid", i.valid)]
+        });
+        check_pins::<E>("ingress", ins, self.engine.input_ports(), &mut findings);
+        check_pins::<E>("egress", outs, self.engine.output_ports(), &mut findings);
+        findings
+    }
+}
+
+fn check_pins<E: ClockedEngine>(
+    dir: &str,
+    lines: impl Iterator<Item = [(&'static str, usize); 3]>,
+    ports: &[PortDecl],
+    findings: &mut Vec<String>,
+) {
+    let name = E::NAME;
+    for (line, pins) in lines.enumerate() {
+        for (pin, i) in pins {
+            let Some(decl) = ports.get(i) else {
+                findings.push(format!(
+                    "CAST150: {name} {dir} {line} {pin} pin index {i} out of range \
+                     ({} {dir}-side ports on the {name} engine)",
+                    ports.len()
+                ));
+                continue;
+            };
+            let want = if pin == "data" { 8 } else { 1 };
+            if decl.width < want {
+                findings.push(format!(
+                    "CAST151: {name} {dir} {line} {pin} pin '{}' is {} bits wide, needs {want}",
+                    decl.name, decl.width
+                ));
+            }
+        }
     }
 }
 
@@ -375,41 +484,45 @@ impl CoupledSimulator for CycleCosim {
 mod tests {
     use super::*;
     use castanet_atm::addr::VpiVci;
-    use castanet_atm::cell::AtmCell;
+    use castanet_rtl::cycle::CycleDut;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 
     const CLK: SimDuration = SimDuration::from_ns(20);
 
-    fn fixture() -> CycleCosim {
-        let mut switch = AtmSwitchRtl::new(SwitchRtlConfig {
+    fn switch() -> AtmSwitchRtl {
+        let mut s = AtmSwitchRtl::new(SwitchRtlConfig {
             ports: 2,
             fifo_capacity: 32,
             table_capacity: 8,
         });
-        assert!(switch.install_route(1, 40, 1, 7, 70));
-        let sim = CycleSim::new(Box::new(switch));
-        let mut cosim = CycleCosim::new(sim, CLK, MessageTypeId(9), HeaderFormat::Uni);
-        cosim.add_ingress(IngressIndices {
-            data: 0,
-            sync: 1,
-            enable: 2,
-        });
-        cosim.add_ingress(IngressIndices {
-            data: 3,
-            sync: 4,
-            enable: 5,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 0,
-            sync: 1,
-            valid: 2,
-        });
-        cosim.add_egress(EgressIndices {
-            data: 3,
-            sync: 4,
-            valid: 5,
-        });
+        assert!(s.install_route(1, 40, 1, 7, 70));
+        s
+    }
+
+    fn wire<E: ClockedEngine>(engine: E) -> ClockedCosim<E> {
+        let mut cosim = ClockedCosim::new(engine, CLK, MessageTypeId(9), HeaderFormat::Uni);
+        for base in [0, 3] {
+            cosim.add_ingress(IngressIndices {
+                data: base,
+                sync: base + 1,
+                enable: base + 2,
+            });
+            cosim.add_egress(EgressIndices {
+                data: base,
+                sync: base + 1,
+                valid: base + 2,
+            });
+        }
         cosim
+    }
+
+    fn fixture() -> CycleCosim {
+        wire(CycleSim::new(Box::new(switch())))
+    }
+
+    fn bank(lanes: usize) -> CompiledCosim {
+        let duts: Vec<Box<dyn CycleDut>> = (0..lanes).map(|_| Box::new(switch()) as _).collect();
+        wire(LaneBank::new(duts))
     }
 
     fn cell(vci: u16) -> AtmCell {
@@ -417,18 +530,25 @@ mod tests {
     }
 
     #[test]
-    fn switches_a_cell_like_the_event_driven_follower() {
-        let mut cosim = fixture();
-        cosim
-            .deliver(Message::cell(SimTime::ZERO, MessageTypeId(0), 0, cell(40)))
-            .unwrap();
-        let responses = cosim.advance_until(SimTime::from_us(10)).unwrap();
-        assert_eq!(responses.len(), 1);
-        assert_eq!(
-            responses[0].as_cell().unwrap().id(),
-            VpiVci::uni(7, 70).unwrap()
-        );
-        assert_eq!(responses[0].as_cell().unwrap().payload, [0x42; 48]);
+    fn switches_a_cell_on_both_engines() {
+        fn check<E: ClockedEngine>(mut cosim: ClockedCosim<E>) {
+            cosim
+                .deliver(Message::cell(SimTime::ZERO, MessageTypeId(0), 0, cell(40)))
+                .unwrap();
+            let responses = cosim.advance_until(SimTime::from_us(10)).unwrap();
+            assert_eq!(responses.len(), 1, "{}", E::NAME);
+            let out = responses[0].as_cell().unwrap();
+            assert_eq!(out.id(), VpiVci::uni(7, 70).unwrap());
+            assert_eq!(out.payload, [0x42; 48]);
+        }
+        check(fixture());
+        check(bank(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 0's egress leaves as responses")]
+    fn lane_cells_refuses_the_coupled_lane() {
+        let _ = bank(2).lane_cells(0, 0);
     }
 
     #[test]
@@ -497,6 +617,76 @@ mod tests {
     }
 
     #[test]
+    fn seeded_lanes_produce_independent_traces() {
+        let mut cosim = bank(3);
+        for lane in 1..3 {
+            for k in 0..lane as u64 {
+                cosim
+                    .seed_cell(lane, 0, SimTime::from_us(5 * (k + 1)), &cell(40))
+                    .unwrap();
+            }
+        }
+        assert!(cosim
+            .advance_batch(SimTime::from_us(100))
+            .unwrap()
+            .is_empty());
+        for lane in 1..3 {
+            assert_eq!(cosim.lane_cells(1, lane).len(), lane, "lane {lane}");
+            for c in cosim.lane_cells(1, lane) {
+                assert_eq!(c.id(), VpiVci::uni(7, 70).unwrap());
+            }
+        }
+    }
+
+    #[test]
+    fn idle_skip_requires_every_lane_quiet() {
+        let mut cosim = bank(2);
+        // Far-future stimulus on lane 1 only: the bank still skips the
+        // gap (both DUTs idle until then), then evaluates lane 1's cell.
+        cosim
+            .seed_cell(1, 0, SimTime::from_us(100), &cell(40))
+            .unwrap();
+        cosim.advance_batch(SimTime::from_us(200)).unwrap();
+        assert!(cosim.clocks_skipped() > 4000, "{}", cosim.clocks_skipped());
+        assert!(
+            cosim.clocks_evaluated() < 400,
+            "{}",
+            cosim.clocks_evaluated()
+        );
+        assert_eq!(cosim.lane_cells(1, 1).len(), 1);
+    }
+
+    #[test]
+    fn preflight_flags_bad_pins_on_both_engines() {
+        fn check<E: ClockedEngine>(engine: E) {
+            let mut cosim = ClockedCosim::new(engine, CLK, MessageTypeId(9), HeaderFormat::Uni);
+            cosim.add_ingress(IngressIndices {
+                data: 99,
+                sync: 1,
+                enable: 2,
+            });
+            cosim.add_egress(EgressIndices {
+                data: 1, // 1-bit sync pin used as the 8-bit data pin
+                sync: 4,
+                valid: 5,
+            });
+            let findings = cosim.structural_preflight();
+            assert!(
+                findings.iter().any(|f| f.starts_with("CAST150")),
+                "{findings:?}"
+            );
+            assert!(
+                findings.iter().any(|f| f.starts_with("CAST151")),
+                "{findings:?}"
+            );
+        }
+        check(CycleSim::new(Box::new(switch())));
+        check(LaneBank::new(vec![Box::new(switch())]));
+        assert!(fixture().structural_preflight().is_empty());
+        assert!(bank(1).structural_preflight().is_empty());
+    }
+
+    #[test]
     fn matches_event_driven_follower_output() {
         use crate::coupling::RtlCosim;
         use crate::entity::{CosimEntity, EgressSignals, IngressSignals};
@@ -505,15 +695,6 @@ mod tests {
 
         // Same DUT, same three cells, both followers: identical cell
         // sequences must come out.
-        let build_switch = || {
-            let mut s = AtmSwitchRtl::new(SwitchRtlConfig {
-                ports: 2,
-                fifo_capacity: 32,
-                table_capacity: 8,
-            });
-            assert!(s.install_route(1, 40, 1, 7, 70));
-            s
-        };
         let stimuli: Vec<Message> = (0..3)
             .map(|k| {
                 Message::cell(
@@ -527,27 +708,28 @@ mod tests {
                 )
             })
             .collect();
+        let drain = |f: &mut dyn FnMut() -> Vec<Message>| {
+            let mut out = Vec::new();
+            loop {
+                let r = f();
+                if r.is_empty() {
+                    break out;
+                }
+                out.extend(r);
+            }
+        };
 
         // Cycle follower.
         let mut cy = fixture();
-        let mut cy_sim = CycleSim::new(Box::new(build_switch()));
-        std::mem::swap(&mut cy.sim, &mut cy_sim);
-        let mut cy_out = Vec::new();
         for m in &stimuli {
             cy.deliver(m.clone()).unwrap();
         }
-        loop {
-            let r = cy.advance_until(SimTime::from_us(60)).unwrap();
-            if r.is_empty() {
-                break;
-            }
-            cy_out.extend(r);
-        }
+        let cy_out = drain(&mut || cy.advance_until(SimTime::from_us(60)).unwrap());
 
         // Event-driven follower.
         let mut sim = Simulator::new();
         let clk = sim.add_clock("clk", CLK);
-        let dut = attach_cycle_dut(&mut sim, "sw", Box::new(build_switch()), clk);
+        let dut = attach_cycle_dut(&mut sim, "sw", Box::new(switch()), clk);
         let mut entity = CosimEntity::new(CLK, HeaderFormat::Uni, MessageTypeId(9));
         entity.add_ingress(IngressSignals {
             data: dut.inputs[0],
@@ -564,39 +746,24 @@ mod tests {
             },
         );
         let mut ev = RtlCosim::new(sim, entity);
-        let mut ev_out = Vec::new();
         for m in &stimuli {
             ev.deliver(m.clone()).unwrap();
         }
-        loop {
-            let r = ev.advance_until(SimTime::from_us(60)).unwrap();
-            if r.is_empty() {
-                break;
-            }
-            ev_out.extend(r);
-        }
+        let ev_out = drain(&mut || ev.advance_until(SimTime::from_us(60)).unwrap());
 
-        let cy_cells: Vec<_> = cy_out
-            .iter()
-            .filter_map(Message::as_cell)
-            .cloned()
-            .collect();
-        let ev_cells: Vec<_> = ev_out
-            .iter()
-            .filter(|m| m.port == 0) // the entity's single egress is line 1 mapped to port 0
-            .filter_map(Message::as_cell)
-            .cloned()
-            .collect();
-        let cy_line1: Vec<_> = cy_out
-            .iter()
-            .filter(|m| m.port == 1)
-            .filter_map(Message::as_cell)
-            .cloned()
-            .collect();
+        let cells = |out: &[Message], port: usize| -> Vec<AtmCell> {
+            out.iter()
+                .filter(|m| m.port == port)
+                .filter_map(Message::as_cell)
+                .cloned()
+                .collect()
+        };
+        // The entity's single egress is line 1, mapped to port 0.
         assert_eq!(
-            cy_line1, ev_cells,
+            cells(&cy_out, 1),
+            cells(&ev_out, 0),
             "the two engines must agree cell-for-cell"
         );
-        assert_eq!(cy_cells.len(), 3);
+        assert_eq!(cy_out.iter().filter_map(Message::as_cell).count(), 3);
     }
 }

@@ -13,7 +13,7 @@
 //! are watched by stream monitors whose completed cells become response
 //! messages.
 
-use crate::convert::{cell_to_byte_ops_into, ByteOp};
+use crate::convert::{cell_to_byte_ops_into, first_clock_at_or_after, ByteOp};
 use crate::error::CastanetError;
 use crate::message::{Message, MessagePayload, MessageTypeId};
 use castanet_atm::addr::HeaderFormat;
@@ -59,8 +59,6 @@ struct IngressPort {
 /// DUT's pins.
 pub struct CosimEntity {
     clock_period: SimDuration,
-    /// Time of the first rising clock edge.
-    first_edge: SimTime,
     /// Stimulus setup lead before an edge.
     setup: SimDuration,
     format: HeaderFormat,
@@ -108,7 +106,6 @@ impl CosimEntity {
         );
         CosimEntity {
             clock_period,
-            first_edge: SimTime::ZERO + clock_period / 2,
             setup: clock_period / 4,
             format,
             response_type,
@@ -187,7 +184,8 @@ impl CosimEntity {
     /// The first rising clock edge at or after `t`.
     #[must_use]
     pub fn edge_at_or_after(&self, t: SimTime) -> SimTime {
-        edge_at_or_after_(self.first_edge, self.clock_period, t)
+        let k = first_clock_at_or_after(t, self.clock_period);
+        SimTime::ZERO + self.clock_period / 2 + self.clock_period * k
     }
 
     /// Delivers one message: conditions its cell onto the addressed ingress
@@ -221,7 +219,7 @@ impl CosimEntity {
         // stamp once the line is free.
         let start = msg.stamp.max(next_free);
         cell_to_byte_ops_into(cell, self.format, &mut self.ops_scratch)?;
-        let first_edge = edge_at_or_after_(self.first_edge, self.clock_period, start);
+        let first_edge = self.edge_at_or_after(start);
         let mut last_edge = first_edge;
         for op in &self.ops_scratch {
             let edge = first_edge + self.clock_period * op.cycle;
@@ -309,15 +307,6 @@ impl CosimEntity {
     pub fn clock_period(&self) -> SimDuration {
         self.clock_period
     }
-}
-
-fn edge_at_or_after_(first_edge: SimTime, period: SimDuration, t: SimTime) -> SimTime {
-    if t <= first_edge {
-        return first_edge;
-    }
-    let offset = (t - first_edge).as_picos();
-    let k = offset.div_ceil(period.as_picos());
-    first_edge + SimDuration::from_picos(k * period.as_picos())
 }
 
 #[cfg(test)]

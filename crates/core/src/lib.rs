@@ -19,10 +19,10 @@
 //!   simulator;
 //! * [`coupling`] — Fig. 2: the executive that runs both simulators with
 //!   the follower's clock always lagging;
-//! * [`cyclecosim`] — the cycle-based follower with idle skipping (the
-//!   paper's §5 conclusion);
-//! * [`compiledcosim`] — the compiled bit-parallel follower: 64 scenario
-//!   lanes behind one bit-sliced pin interface, idle skipping preserved;
+//! * [`cyclecosim`] — the cycle-level follower with idle skipping (the
+//!   paper's §5 conclusion), one implementation over the cycle engine and
+//!   the compiled backend's lane bank (up to 64 scenario lanes stepped by
+//!   one clock edge);
 //! * [`hwloop`] — §3.3: hardware in the simulation loop via the test board;
 //! * [`compare`] — Fig. 1's "=?": reference-vs-DUT stream comparison;
 //! * [`traceio`] — dump/replay of test vectors;
@@ -49,7 +49,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod compare;
-pub mod compiledcosim;
 pub mod conformance;
 pub mod convert;
 pub mod coupling;
@@ -69,9 +68,8 @@ pub mod verify;
 
 pub use castanet_obs::Telemetry;
 pub use compare::{ComparisonReport, StreamComparator};
-pub use compiledcosim::CompiledCosim;
 pub use coupling::{CoupledSimulator, Coupling, CouplingStats, RtlCosim};
-pub use cyclecosim::CycleCosim;
+pub use cyclecosim::{ClockedCosim, CompiledCosim, CycleCosim};
 pub use entity::CosimEntity;
 pub use error::CastanetError;
 pub use hwloop::BoardCosim;

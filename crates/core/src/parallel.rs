@@ -58,7 +58,8 @@
 //! happened to interleave the two threads.
 
 use crate::coupling::{
-    inject_responses, preflight_checks, CoupledSimulator, CouplingStats, SyncCounters,
+    drain_horizon, inject_responses, preflight_checks, CoupledSimulator, CouplingStats,
+    SyncCounters,
 };
 use crate::error::CastanetError;
 use crate::interface::OutboxHandle;
@@ -228,19 +229,15 @@ pub struct ParallelCoupling<S: CoupledSimulator + Send> {
     drain_quantum: SimDuration,
     drain_quiet_chunks: u32,
     strict: bool,
-    /// Simulated-time length of one batched timing window (the adaptive
-    /// controller's base when [`ParallelCoupling::with_adaptive_window`]
-    /// is on).
+    /// Simulated-time length of one batched timing window: the
+    /// [`AdaptiveWindow`] controller's base, and the time-warp
+    /// speculation lookahead.
     batch_window: SimDuration,
     /// Command-ring capacity: how many windows the originator may run
     /// ahead of the follower before its pushes block (bounded pipeline
     /// lag).
     channel_depth: usize,
     exec_mode: ExecMode,
-    adaptive: bool,
-    /// Speculation lookahead for [`ExecMode::TimeWarp`]; defaults to the
-    /// batch window when unset.
-    spec_window: Option<SimDuration>,
     /// Telemetry handle; disabled (all recording a no-op) by default.
     tel: Telemetry,
 }
@@ -253,7 +250,6 @@ impl<S: CoupledSimulator + Send> std::fmt::Debug for ParallelCoupling<S> {
             .field("batch_window", &self.batch_window)
             .field("channel_depth", &self.channel_depth)
             .field("exec_mode", &self.exec_mode)
-            .field("adaptive", &self.adaptive)
             .field("stats", &self.stats)
             .finish()
     }
@@ -286,8 +282,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
             batch_window: SimDuration::from_us(100),
             channel_depth: 4,
             exec_mode: ExecMode::Conservative,
-            adaptive: true,
-            spec_window: None,
             tel: Telemetry::disabled(),
         }
     }
@@ -345,41 +339,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         self.exec_mode
     }
 
-    /// Enables (default) or disables the [`AdaptiveWindow`] controller.
-    /// When disabled every window uses the fixed batch window from
-    /// [`ParallelCoupling::with_batching`].
-    #[must_use]
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Whether the adaptive grant-window controller is enabled.
-    #[must_use]
-    pub fn adaptive_window(&self) -> bool {
-        self.adaptive
-    }
-
-    /// Sets the [`ExecMode::TimeWarp`] speculation lookahead (how far past
-    /// the granted horizon the follower runs ahead on forked state). The
-    /// default is the batch window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    #[must_use]
-    pub fn with_speculation(mut self, window: SimDuration) -> Self {
-        assert!(!window.is_zero(), "speculation window must be non-zero");
-        self.spec_window = Some(window);
-        self
-    }
-
-    /// The configured speculation lookahead, if any.
-    #[must_use]
-    pub fn speculation_window(&self) -> Option<SimDuration> {
-        self.spec_window
-    }
-
     /// Tunes the final drain — as
     /// [`Coupling::with_drain`](crate::coupling::Coupling::with_drain).
     ///
@@ -397,8 +356,9 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
 
     /// Tunes the batching: `batch_window` of simulated time per timing
     /// window (larger windows = fewer thread rendezvous but coarser
-    /// response pipelining), `channel_depth` windows of bounded run-ahead
-    /// (the command-ring capacity).
+    /// response pipelining; the [`AdaptiveWindow`] base and the
+    /// [`ExecMode::TimeWarp`] speculation lookahead), `channel_depth`
+    /// windows of bounded run-ahead (the command-ring capacity).
     ///
     /// # Panics
     ///
@@ -457,13 +417,10 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         let cell_type = self.cell_type;
         let iface = self.iface;
         let exec_mode = self.exec_mode;
-        let spec_window = self.spec_window.unwrap_or(batch_window);
         // δ_j headroom for the adaptive controller, read before the &mut
         // borrows below freeze `self`.
         let headroom = self.sync.type_delta(cell_type).unwrap_or(SimDuration::ZERO);
-        let mut window_ctl = self
-            .adaptive
-            .then(|| AdaptiveWindow::new(batch_window, headroom));
+        let mut window_ctl = AdaptiveWindow::new(batch_window, headroom);
         let net = &mut self.net;
         let stats = &mut self.stats;
         let outbox = &self.outbox;
@@ -499,7 +456,7 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                             promised,
                             cell_type,
                             exec_mode,
-                            spec_window,
+                            batch_window,
                             &mut cmd_rx,
                             &mut rep_tx,
                             &follower_tel,
@@ -520,7 +477,6 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                         outbox,
                         iface,
                         until,
-                        batch_window,
                         &mut window_ctl,
                         drain_quantum,
                         drain_quiet_chunks,
@@ -629,8 +585,7 @@ fn originator_loop(
     outbox: &OutboxHandle,
     iface: ModuleId,
     until: SimTime,
-    batch_window: SimDuration,
-    window_ctl: &mut Option<AdaptiveWindow>,
+    window_ctl: &mut AdaptiveWindow,
     drain_quantum: SimDuration,
     drain_quiet_chunks: u32,
     phase_tel: &Telemetry,
@@ -660,14 +615,8 @@ fn originator_loop(
             Phase::ParallelGrant,
         );
         while let Some(t0) = net.next_event_time().filter(|t| *t < until) {
-            let width = match window_ctl.as_mut() {
-                Some(ctl) => {
-                    let w = ctl.observe(in_flight, cmd_tx.capacity());
-                    obs.grant_width.set(w.as_picos());
-                    w
-                }
-                None => batch_window,
-            };
+            let width = window_ctl.observe(in_flight, cmd_tx.capacity());
+            obs.grant_width.set(width.as_picos());
             let w = until.min(t0 + width);
             let window_start = obs.tel.now_ns();
             let executed = net.run_grant_window(w)?;
@@ -1472,9 +1421,12 @@ fn drain_step<S: CoupledSimulator>(
         }
     }
     loop {
-        let horizon = (follower.now().max(sync.local_time()) + quantum)
-            .min(until)
-            .max(*promised);
+        let horizon = drain_horizon(
+            *promised,
+            follower.now().max(sync.local_time()),
+            quantum,
+            until,
+        );
         if horizon > *promised {
             sync.receive(cell_type, horizon, true)?;
             *promised = horizon;
@@ -1647,23 +1599,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_and_fixed_windows_produce_the_same_trace() {
-        let (serial, got_fixed) = build(16, SimDuration::from_us(5));
-        let mut fixed = serial.into_parallel().with_adaptive_window(false);
-        fixed.run(SimTime::from_ms(2)).unwrap();
-
-        let (serial, got_adaptive) = build(16, SimDuration::from_us(5));
-        let mut adaptive = serial.into_parallel().with_adaptive_window(true);
-        adaptive.run(SimTime::from_ms(2)).unwrap();
-
-        assert_eq!(
-            collected_cells(&got_fixed),
-            collected_cells(&got_adaptive),
-            "window sizing is a throughput knob, never a semantics knob"
-        );
-    }
-
-    #[test]
     fn adaptive_window_respects_floor_and_delta_bound() {
         let base = SimDuration::from_us(100);
         let headroom = SimDuration::from_us(60);
@@ -1794,8 +1729,7 @@ mod tests {
         let (serial, got_c) = build(12, SimDuration::from_us(50));
         let mut conservative = serial
             .into_parallel()
-            .with_batching(SimDuration::from_us(5), 4)
-            .with_adaptive_window(false);
+            .with_batching(SimDuration::from_us(5), 4);
         let c_stats = conservative.run(SimTime::from_ms(2)).unwrap();
         let c_cells = collected_cells(&got_c);
 
@@ -1804,7 +1738,6 @@ mod tests {
         let mut warp = serial
             .into_parallel()
             .with_batching(SimDuration::from_us(5), 4)
-            .with_adaptive_window(false)
             .with_exec_mode(ExecMode::TimeWarp)
             .with_telemetry(&tel);
         let w_stats = warp.run(SimTime::from_ms(2)).unwrap();

@@ -238,12 +238,12 @@ pub const CODES: &[(&str, Severity, &str)] = &[
     (
         "CAST150",
         Severity::Error,
-        "compiled-follower ingress/egress pin index out of range for the lane bank's port list",
+        "cycle-level follower ingress/egress pin index out of range for the engine's port list",
     ),
     (
         "CAST151",
         Severity::Error,
-        "compiled-follower pin is narrower than its line role requires (8-bit data, 1-bit strobes)",
+        "cycle-level follower pin is narrower than its line role requires (8-bit data, 1-bit strobes)",
     ),
 ];
 

@@ -60,9 +60,10 @@ pub enum Phase {
     CompiledScheduleEval,
     /// Compiled backend: one behavioral `LaneBank` clock edge (fallback).
     CompiledFallbackEval,
-    /// Compiled backend: scattering stimulus integers into lane words.
+    /// Compiled backend: checking every lane's stimulus words against the
+    /// input ports.
     CompiledPack,
-    /// Compiled backend: gathering egress lane words back to integers.
+    /// Compiled backend: storing every lane's output words lane-major.
     CompiledUnpack,
     /// Parallel executor: streaming grant windows to the follower.
     ParallelGrant,

@@ -25,10 +25,11 @@
 //!
 //! Behavioral DUTs that cannot be lowered (the stock switch wrapper is an
 //! opaque-to-lowering [`CycleDut`]) batch through [`LaneBank`] instead:
-//! up to 64 replicated DUT instances behind one bit-sliced pin interface,
-//! so the coupling layer sees the same SoA state model either way.
+//! up to 64 replicated DUT instances stepped by one clock edge, which the
+//! coupling layer drives through the same [`ClockedEngine`] interface as
+//! the one-lane cycle engine.
 
-use crate::cycle::{CycleDut, PortDecl};
+use crate::cycle::{check_inputs, ClockedEngine, CycleDut, PortDecl};
 use crate::error::RtlError;
 use crate::logic::Logic;
 use crate::signal::SignalId;
@@ -827,25 +828,25 @@ impl CompiledSim {
     }
 }
 
-/// Up to [`LANES`] replicated behavioral [`CycleDut`] instances behind one
-/// bit-sliced pin interface: the batching fallback for DUTs that cannot be
-/// lowered to word code (the stock switch wrapper).
-///
-/// Pin state is held SoA exactly like [`CompiledSim`] signal state — one
-/// [`PackedBit`] word per pin bit, lane `k` per instance `k` — so the
-/// coupling layer manipulates both backends through the same layout.
-/// Behavioral DUTs read integers, so unknown pin lanes gather as `0`
-/// (matching the event kernel's cycle-DUT bridge, which reads
-/// `read_u64().unwrap_or(0)`).
+/// Up to [`LANES`] replicated behavioral [`CycleDut`] instances stepped by
+/// one clock edge: the batching fallback for DUTs that cannot be lowered
+/// to word code (the stock switch wrapper). Behavioral DUTs read and write
+/// integers, so each lane steps on its own input words and the bank keeps
+/// the outputs lane-major for [`ClockedEngine::lane_outputs`].
 pub struct LaneBank {
     duts: Vec<Box<dyn CycleDut>>,
     in_ports: Vec<PortDecl>,
     out_ports: Vec<PortDecl>,
-    in_base: Vec<usize>,
-    out_base: Vec<usize>,
-    in_words: Vec<PackedBit>,
-    out_words: Vec<PackedBit>,
     cycles: u64,
+    /// Each lane's output vector as its DUT returned it from the latest
+    /// edge.
+    returned: Vec<Vec<u64>>,
+    /// The same words lane-major, for [`ClockedEngine::lane_outputs`].
+    outputs: Vec<u64>,
+    /// Telemetry handle for the sampled pack/eval/unpack micro-phases.
+    tel: Telemetry,
+    /// `compiled.fallback_evals` — behavioral bank clock edges.
+    fallback_evals: Counter,
 }
 
 impl fmt::Debug for LaneBank {
@@ -857,16 +858,6 @@ impl fmt::Debug for LaneBank {
             .field("cycles", &self.cycles)
             .finish_non_exhaustive()
     }
-}
-
-fn port_layout(ports: &[PortDecl]) -> (Vec<usize>, usize) {
-    let mut base = Vec::with_capacity(ports.len());
-    let mut words = 0;
-    for p in ports {
-        base.push(words);
-        words += p.width;
-    }
-    (base, words)
 }
 
 impl LaneBank {
@@ -887,48 +878,22 @@ impl LaneBank {
                 "lane bank DUTs must declare identical ports"
             );
         }
-        let (in_base, in_words) = port_layout(&in_ports);
-        let (out_base, out_words) = port_layout(&out_ports);
         LaneBank {
+            returned: vec![Vec::new(); duts.len()],
+            outputs: vec![0; duts.len() * out_ports.len()],
             duts,
             in_ports,
             out_ports,
-            in_base,
-            out_base,
-            in_words: vec![PackedBit::default(); in_words],
-            out_words: vec![PackedBit::default(); out_words],
             cycles: 0,
+            tel: Telemetry::disabled(),
+            fallback_evals: Counter::default(),
         }
     }
 
-    /// Number of lanes (DUT instances).
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.duts.len()
-    }
-
-    /// Declared input ports (identical across lanes).
-    #[must_use]
-    pub fn input_ports(&self) -> &[PortDecl] {
-        &self.in_ports
-    }
-
-    /// Declared output ports (identical across lanes).
-    #[must_use]
-    pub fn output_ports(&self) -> &[PortDecl] {
-        &self.out_ports
-    }
-
-    /// Clock edges executed.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
     /// Forks the bank: every lane's DUT is duplicated via
-    /// [`CycleDut::fork_dut`] and the packed pin state and cycle count are
-    /// copied, so the fork replays identically from this point. Returns
-    /// `None` when any lane's DUT does not support forking.
+    /// [`CycleDut::fork_dut`] and the outputs and cycle count are copied,
+    /// so the fork replays identically from this point. Returns `None`
+    /// when any lane's DUT does not support forking.
     #[must_use]
     pub fn fork(&self) -> Option<Self> {
         let mut duts = Vec::with_capacity(self.duts.len());
@@ -939,11 +904,11 @@ impl LaneBank {
             duts,
             in_ports: self.in_ports.clone(),
             out_ports: self.out_ports.clone(),
-            in_base: self.in_base.clone(),
-            out_base: self.out_base.clone(),
-            in_words: self.in_words.clone(),
-            out_words: self.out_words.clone(),
             cycles: self.cycles,
+            returned: vec![Vec::new(); self.duts.len()],
+            outputs: self.outputs.clone(),
+            tel: self.tel.clone(),
+            fallback_evals: self.fallback_evals.clone(),
         })
     }
 
@@ -957,81 +922,83 @@ impl LaneBank {
     pub fn dut_mut(&mut self, lane: usize) -> &mut dyn CycleDut {
         self.duts[lane].as_mut()
     }
+}
 
-    /// `true` when every lane's DUT reports idle — the bank-wide
-    /// gated-clock park condition.
-    #[must_use]
-    pub fn idle(&self) -> bool {
+impl ClockedEngine for LaneBank {
+    const NAME: &'static str = "compiled";
+
+    fn lanes(&self) -> usize {
+        self.duts.len()
+    }
+
+    fn input_ports(&self) -> &[PortDecl] {
+        &self.in_ports
+    }
+
+    fn output_ports(&self) -> &[PortDecl] {
+        &self.out_ports
+    }
+
+    /// Every lane's DUT reports idle — the bank-wide gated-clock park
+    /// condition.
+    fn idle(&self) -> bool {
         self.duts.iter().all(|d| d.is_idle())
     }
 
-    /// Scatters `value` into input port `port` of lane `lane`.
-    pub fn set_input(&mut self, lane: usize, port: usize, value: u64) {
-        assert!(lane < self.duts.len(), "lane out of range");
-        let decl = &self.in_ports[port];
-        assert_eq!(value & !decl.mask(), 0, "value exceeds {} bits", decl.width);
-        let base = self.in_base[port];
-        for bit in 0..decl.width {
-            self.in_words[base + bit].set_lane(lane, Logic::from_bool(value >> bit & 1 == 1));
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// One sampling decision covers the edge's three micro-phases — pack
+    /// (check every lane's input words against the ports), the behavioral
+    /// fallback evaluation, and unpack (store each lane's outputs
+    /// lane-major) — so a sampled edge yields one complete
+    /// pack/eval/unpack triple. A rejected edge steps no lane.
+    fn edge(&mut self, inputs: &[u64], t_ps: u64) -> Result<(), RtlError> {
+        let sampled = self.tel.micro_gate();
+        let mut mark = if sampled { self.tel.now_ns() } else { 0 };
+        let n = self.in_ports.len();
+        check_inputs(&self.in_ports, self.duts.len(), inputs)?;
+        if sampled {
+            mark = self
+                .tel
+                .record_phase(Track::Follower, t_ps, Phase::CompiledPack, mark);
         }
-    }
-
-    /// Scatters a full input-port value list into lane `lane`.
-    pub fn set_inputs(&mut self, lane: usize, values: &[u64]) {
-        assert_eq!(values.len(), self.in_ports.len(), "input port count");
-        for (port, &v) in values.iter().enumerate() {
-            self.set_input(lane, port, v);
-        }
-    }
-
-    /// Gathers input port `port` of lane `lane` back from the pin words
-    /// (unknown lanes read `0`).
-    #[must_use]
-    pub fn input(&self, lane: usize, port: usize) -> u64 {
-        let base = self.in_base[port];
-        gather(&self.in_words[base..base + self.in_ports[port].width], lane)
-    }
-
-    /// Output port `port` of lane `lane` after the latest clock edge.
-    #[must_use]
-    pub fn output(&self, lane: usize, port: usize) -> u64 {
-        let base = self.out_base[port];
-        gather(
-            &self.out_words[base..base + self.out_ports[port].width],
-            lane,
-        )
-    }
-
-    /// One clock edge on every lane: gather each lane's pin words to
-    /// integers, step that lane's DUT, scatter its outputs back.
-    pub fn clock_edge(&mut self) {
-        let mut inputs = vec![0u64; self.in_ports.len()];
-        for lane in 0..self.duts.len() {
-            for (port, value) in inputs.iter_mut().enumerate() {
-                let base = self.in_base[port];
-                *value = gather(&self.in_words[base..base + self.in_ports[port].width], lane);
-            }
-            let outputs = self.duts[lane].clock_edge(&inputs);
-            for (port, &value) in outputs.iter().enumerate() {
-                let base = self.out_base[port];
-                for bit in 0..self.out_ports[port].width {
-                    self.out_words[base + bit]
-                        .set_lane(lane, Logic::from_bool(value >> bit & 1 == 1));
-                }
-            }
+        for (lane, dut) in self.duts.iter_mut().enumerate() {
+            self.returned[lane] = dut.clock_edge(&inputs[lane * n..(lane + 1) * n]);
         }
         self.cycles += 1;
-    }
-}
-
-fn gather(words: &[PackedBit], lane: usize) -> u64 {
-    let mut v = 0u64;
-    for (bit, w) in words.iter().enumerate() {
-        if w.lane(lane).is_one() {
-            v |= 1 << bit;
+        self.fallback_evals.inc();
+        if sampled {
+            mark = self
+                .tel
+                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
         }
+        let m = self.out_ports.len();
+        for (lane, outs) in self.returned.iter().enumerate() {
+            debug_assert_eq!(outs.len(), m, "dut returned wrong output count");
+            self.outputs[lane * m..(lane + 1) * m].copy_from_slice(outs);
+        }
+        if sampled {
+            self.tel
+                .record_phase(Track::Follower, t_ps, Phase::CompiledUnpack, mark);
+        }
+        Ok(())
     }
-    v
+
+    fn lane_outputs(&self, lane: usize) -> &[u64] {
+        let m = self.out_ports.len();
+        &self.outputs[lane * m..(lane + 1) * m]
+    }
+
+    fn fork(&self) -> Option<Self> {
+        LaneBank::fork(self)
+    }
+
+    fn set_telemetry(&mut self, tel: &Telemetry) {
+        self.tel = tel.clone();
+        self.fallback_evals = tel.counter("compiled.fallback_evals");
+    }
 }
 
 /// Lowerable reference gates: small [`crate::sim::RtlProcess`]es whose
@@ -1491,18 +1458,49 @@ mod tests {
         let mut bank = LaneBank::new(duts);
         assert_eq!(bank.lanes(), 8);
         assert!(bank.idle());
+        let inputs: Vec<u64> = (1..=8).collect();
         for clockno in 1..=3u64 {
-            for lane in 0..8 {
-                bank.set_input(lane, 0, lane as u64 + 1);
-            }
-            bank.clock_edge();
+            bank.edge(&inputs, clockno).unwrap();
             for lane in 0..8u64 {
-                assert_eq!(bank.output(lane as usize, 0), clockno * (lane + 1));
+                assert_eq!(bank.lane_outputs(lane as usize), [clockno * (lane + 1)]);
             }
         }
         assert_eq!(bank.cycles(), 3);
-        // Gather/scatter round-trips the pin words.
-        assert_eq!(bank.input(5, 0), 6);
+    }
+
+    #[test]
+    fn both_engines_reject_input_words_that_do_not_fit() {
+        use crate::cycle::CycleSim;
+        fn check<E: ClockedEngine>(mut engine: E, fits: &[u64], too_wide: &[u64]) {
+            assert!(
+                matches!(
+                    engine.edge(too_wide, 0),
+                    Err(RtlError::WidthMismatch {
+                        expected: 4,
+                        got: 5
+                    })
+                ),
+                "{}",
+                E::NAME
+            );
+            let short = &fits[..fits.len() - 1];
+            assert!(
+                matches!(
+                    engine.edge(short, 0),
+                    Err(RtlError::PortCountMismatch { .. })
+                ),
+                "{}",
+                E::NAME
+            );
+            // A rejected edge steps no lane.
+            assert_eq!(engine.cycles(), 0, "{}", E::NAME);
+            engine.edge(fits, 0).unwrap();
+            assert_eq!(engine.cycles(), 1, "{}", E::NAME);
+        }
+        check(CycleSim::new(Box::new(Accum::default())), &[0xF], &[0x10]);
+        let duts: Vec<Box<dyn CycleDut>> =
+            (0..2).map(|_| Box::new(Accum::default()) as _).collect();
+        check(LaneBank::new(duts), &[0xF, 0xF], &[0xF, 0x10]);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use crate::netlist::ProcessIo;
 use crate::signal::SignalId;
 use crate::sim::{RtlCtx, RtlProcess, Simulator};
 use castanet_netsim::time::SimDuration;
+use castanet_obs::{Phase, Telemetry, Track};
 
 /// Declaration of one pin-level port (≤ 64 bits).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,6 +137,10 @@ pub struct CycleSim {
     inputs: Vec<PortDecl>,
     outputs: Vec<PortDecl>,
     cycles: u64,
+    /// Output words of the latest [`ClockedEngine::edge`].
+    last_outputs: Vec<u64>,
+    /// Telemetry handle for the sampled `cycle.eval` micro-phase.
+    tel: Telemetry,
 }
 
 impl std::fmt::Debug for CycleSim {
@@ -158,9 +163,11 @@ impl CycleSim {
         let outputs = dut.output_ports();
         CycleSim {
             dut,
+            last_outputs: vec![0; outputs.len()],
             inputs,
             outputs,
             cycles: 0,
+            tel: Telemetry::disabled(),
         }
     }
 
@@ -171,20 +178,7 @@ impl CycleSim {
     /// Returns [`RtlError::PortCountMismatch`] for a wrong input count or
     /// [`RtlError::WidthMismatch`] when a word exceeds its port width.
     pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<u64>, RtlError> {
-        if inputs.len() != self.inputs.len() {
-            return Err(RtlError::PortCountMismatch {
-                expected: self.inputs.len(),
-                got: inputs.len(),
-            });
-        }
-        for (word, port) in inputs.iter().zip(&self.inputs) {
-            if *word & !port.mask() != 0 {
-                return Err(RtlError::WidthMismatch {
-                    expected: port.width,
-                    got: 64 - word.leading_zeros() as usize,
-                });
-            }
-        }
+        check_inputs(&self.inputs, 1, inputs)?;
         self.cycles += 1;
         let out = self.dut.clock_edge(inputs);
         debug_assert_eq!(
@@ -248,12 +242,145 @@ impl CycleSim {
             inputs: self.inputs.clone(),
             outputs: self.outputs.clone(),
             cycles: self.cycles,
+            last_outputs: self.last_outputs.clone(),
+            tel: self.tel.clone(),
         })
     }
 
     /// Mutable access to the wrapped DUT.
     pub fn dut_mut(&mut self) -> &mut dyn CycleDut {
         self.dut.as_mut()
+    }
+}
+
+/// Checks `lanes` lanes' input words (one per port of `ports`, lane-major)
+/// against the port count and widths.
+///
+/// # Errors
+///
+/// [`RtlError::PortCountMismatch`] for a wrong word count,
+/// [`RtlError::WidthMismatch`] for a word wider than its port.
+pub(crate) fn check_inputs(
+    ports: &[PortDecl],
+    lanes: usize,
+    inputs: &[u64],
+) -> Result<(), RtlError> {
+    if inputs.len() != ports.len() * lanes {
+        return Err(RtlError::PortCountMismatch {
+            expected: ports.len() * lanes,
+            got: inputs.len(),
+        });
+    }
+    for lane_words in inputs.chunks(ports.len().max(1)) {
+        for (word, port) in lane_words.iter().zip(ports) {
+            if *word & !port.mask() != 0 {
+                return Err(RtlError::WidthMismatch {
+                    expected: port.width,
+                    got: 64 - word.leading_zeros() as usize,
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A clocked engine that a cell↔pin follower drives one edge at a time:
+/// [`lanes`](ClockedEngine::lanes) replicated DUT instances behind one
+/// port list, every lane stepped by the same edge. [`CycleSim`] is the
+/// one-lane engine, [`crate::compiled::LaneBank`] the N-lane one.
+pub trait ClockedEngine: Send + Sized {
+    /// Short engine name (`"cycle"`, `"compiled"`): the prefix of the
+    /// follower's engine-specific metrics and the subject of its
+    /// diagnostics.
+    const NAME: &'static str;
+
+    /// Number of lanes (DUT instances).
+    fn lanes(&self) -> usize;
+
+    /// Input port declarations (identical across lanes).
+    fn input_ports(&self) -> &[PortDecl];
+
+    /// Output port declarations (identical across lanes).
+    fn output_ports(&self) -> &[PortDecl];
+
+    /// `true` when every lane's DUT is quiescent
+    /// ([`CycleDut::is_idle`]): an edge with all-zero inputs would
+    /// change nothing anywhere.
+    fn idle(&self) -> bool;
+
+    /// Clock edges executed.
+    fn cycles(&self) -> u64;
+
+    /// One rising clock edge on every lane, at simulated time `t_ps`
+    /// (the stamp of the engine's own clock-edge telemetry). `inputs`
+    /// holds each lane's input words (one per input port), lane-major.
+    ///
+    /// # Errors
+    ///
+    /// [`RtlError::PortCountMismatch`] when `inputs` does not hold one
+    /// word per input port per lane, [`RtlError::WidthMismatch`] when a
+    /// word exceeds its port width; a rejected edge steps no lane.
+    fn edge(&mut self, inputs: &[u64], t_ps: u64) -> Result<(), RtlError>;
+
+    /// Lane `lane`'s output words after the latest edge.
+    fn lane_outputs(&self, lane: usize) -> &[u64];
+
+    /// Deep-copies the engine, or `None` when a DUT cannot be forked.
+    fn fork(&self) -> Option<Self>;
+
+    /// Attaches the telemetry the engine records its clock edges into.
+    fn set_telemetry(&mut self, tel: &Telemetry);
+}
+
+impl ClockedEngine for CycleSim {
+    const NAME: &'static str = "cycle";
+
+    #[inline]
+    fn lanes(&self) -> usize {
+        1
+    }
+
+    fn input_ports(&self) -> &[PortDecl] {
+        &self.inputs
+    }
+
+    fn output_ports(&self) -> &[PortDecl] {
+        &self.outputs
+    }
+
+    #[inline]
+    fn idle(&self) -> bool {
+        self.dut.is_idle()
+    }
+
+    fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
+    /// `cycle.eval` is a per-clock micro-phase: sampled 1-in-N, so its two
+    /// clock reads are paid once per stride, not per clock.
+    fn edge(&mut self, inputs: &[u64], t_ps: u64) -> Result<(), RtlError> {
+        let sampled = self.tel.micro_gate();
+        let start = if sampled { self.tel.now_ns() } else { 0 };
+        self.last_outputs = self.step(inputs)?;
+        if sampled {
+            self.tel
+                .record_phase(Track::Follower, t_ps, Phase::CycleEval, start);
+        }
+        Ok(())
+    }
+
+    #[inline]
+    fn lane_outputs(&self, _lane: usize) -> &[u64] {
+        &self.last_outputs
+    }
+
+    fn fork(&self) -> Option<Self> {
+        CycleSim::fork(self)
+    }
+
+    fn set_telemetry(&mut self, tel: &Telemetry) {
+        self.tel = tel.clone();
     }
 }
 

@@ -9,13 +9,13 @@
 //!   and multi-driver signal resolution;
 //! * [`cycle`] — the cycle-based engine the paper's conclusion calls for,
 //!   sharing DUTs with the event-driven kernel via
-//!   [`cycle::attach_cycle_dut`];
+//!   [`cycle::attach_cycle_dut`], and [`cycle::ClockedEngine`], the
+//!   clocked-engine interface the coupling's cell↔pin follower drives it
+//!   and [`compiled::LaneBank`] through;
 //! * [`compiled`] — the compiled bit-parallel backend: the levelized
 //!   netlist lowered to word-level ops over bit-sliced state, 64 scenario
 //!   lanes per instruction, plus the [`compiled::LaneBank`] batching
 //!   fallback for behavioral DUTs;
-//! * [`comp`] — a library of RTL building blocks (flip-flops, counters,
-//!   FIFOs) written as event-driven processes;
 //! * [`netlist`] — netlist introspection: the signal→process→signal
 //!   dataflow graph, structural checks (combinational loops, multi-driver
 //!   conflicts, sensitivity completeness, gated-clock safety) and the
@@ -25,8 +25,6 @@
 //!   headline workload) and the accounting unit of the §4 case study;
 //! * [`testbench`] — the classic pure-RTL regression bench used as the E1
 //!   baseline;
-//! * [`timing`] — setup/hold monitors (the timing half of "verification
-//!   of timing and functionality by simulation");
 //! * [`wave`] — VCD waveform dumping.
 //!
 //! ## Quick start
@@ -53,7 +51,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod comp;
 pub mod compiled;
 pub mod cycle;
 pub mod dut;
@@ -63,13 +60,12 @@ pub mod netlist;
 pub mod signal;
 pub mod sim;
 pub mod testbench;
-pub mod timing;
 pub mod vector;
 pub mod wave;
 pub mod wheel;
 
 pub use compiled::{CompileError, CompiledSchedule, CompiledSim, LaneBank, PackedBit, LANES};
-pub use cycle::{CycleDut, CycleSim, PortDecl};
+pub use cycle::{ClockedEngine, CycleDut, CycleSim, PortDecl};
 pub use error::RtlError;
 pub use logic::Logic;
 pub use netlist::{NetlistGraph, ProcessIo, ProcessKind, StructuralFinding};

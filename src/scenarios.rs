@@ -10,10 +10,11 @@
 
 use castanet::compare::StreamComparator;
 use castanet::coupling::{Coupling, RtlCosim};
+use castanet::cyclecosim::{ClockedCosim, EgressIndices, IngressIndices};
 use castanet::entity::{CosimEntity, EgressSignals, IngressSignals};
 use castanet::hwloop::{BoardCosim, EgressPorts, IngressPorts};
 use castanet::interface::CastanetInterfaceProcess;
-use castanet::message::MessageTypeId;
+use castanet::message::{Message, MessageTypeId};
 use castanet::sync::ConservativeSync;
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::{AtmCell, CELL_OCTETS};
@@ -23,7 +24,10 @@ use castanet_netsim::event::PortId;
 use castanet_netsim::kernel::Kernel;
 use castanet_netsim::process::{CollectorHandle, CollectorProcess};
 use castanet_netsim::time::{SimDuration, SimTime};
-use castanet_rtl::cycle::{attach_cycle_dut, attach_cycle_dut_gated};
+use castanet_rtl::compiled::LaneBank;
+use castanet_rtl::cycle::{
+    attach_cycle_dut, attach_cycle_dut_gated, ClockedEngine, CycleDut, CycleSim,
+};
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
 use castanet_rtl::sim::Simulator;
 use castanet_rtl::testbench::{RegressionTestbench, ScheduledCell};
@@ -206,15 +210,16 @@ fn switch_net(config: &SwitchScenarioConfig) -> SwitchNet {
     }
 }
 
-/// The cycle-engine follower shared by the cycle-based and parallel
-/// variants.
-fn switch_cycle_follower(
+/// The cycle-level follower every clocked variant shares: the switch's
+/// per-line pin layout over `engine` — the cycle engine for the
+/// cycle-based and parallel variants, a [`LaneBank`] of replicated switch
+/// instances for the compiled variant and the multi-lane scenario sweep.
+fn switch_clocked_follower<E: ClockedEngine>(
     config: &SwitchScenarioConfig,
     cell_type: MessageTypeId,
-) -> castanet::CycleCosim {
-    use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
-    let sim = castanet_rtl::cycle::CycleSim::new(Box::new(config.rtl_switch()));
-    let mut follower = CycleCosim::new(sim, config.clock_period, cell_type, HeaderFormat::Uni);
+    engine: E,
+) -> ClockedCosim<E> {
+    let mut follower = ClockedCosim::new(engine, config.clock_period, cell_type, HeaderFormat::Uni);
     for i in 0..config.ports {
         follower.add_ingress(IngressIndices {
             data: 3 * i,
@@ -230,6 +235,15 @@ fn switch_cycle_follower(
         });
     }
     follower
+}
+
+/// `lanes` replicated switch instances stepped by one clock edge.
+fn switch_lane_bank(config: &SwitchScenarioConfig, lanes: usize) -> LaneBank {
+    LaneBank::new(
+        (0..lanes)
+            .map(|_| Box::new(config.rtl_switch()) as Box<dyn CycleDut>)
+            .collect(),
+    )
 }
 
 /// Builds the co-simulation of the paper's headline experiment: network
@@ -326,7 +340,11 @@ pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type);
+    let follower = switch_clocked_follower(
+        &config,
+        cell_type,
+        CycleSim::new(Box::new(config.rtl_switch())),
+    );
     SwitchCosimCycle {
         coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
         collectors,
@@ -375,52 +393,17 @@ pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParalle
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_cycle_follower(&config, cell_type);
+    let follower = switch_clocked_follower(
+        &config,
+        cell_type,
+        CycleSim::new(Box::new(config.rtl_switch())),
+    );
     SwitchCosimParallel {
         coupling: castanet::ParallelCoupling::new(net, follower, sync, cell_type, iface, outbox)
             .with_strict(true),
         collectors,
         config,
     }
-}
-
-/// The compiled bit-parallel follower shared by the compiled co-simulation
-/// variant and the multi-lane scenario sweep: `lanes` replicated switch
-/// instances behind one bit-sliced pin interface (see
-/// [`castanet_rtl::compiled::LaneBank`]), with the same per-line pin layout
-/// as [`switch_cycle_follower`] replicated into every lane.
-fn switch_compiled_follower(
-    config: &SwitchScenarioConfig,
-    cell_type: MessageTypeId,
-    lanes: usize,
-) -> castanet::CompiledCosim {
-    use castanet::cyclecosim::{EgressIndices, IngressIndices};
-    use castanet_rtl::compiled::LaneBank;
-    use castanet_rtl::cycle::CycleDut;
-    let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
-        .map(|_| Box::new(config.rtl_switch()) as Box<dyn CycleDut>)
-        .collect();
-    let mut follower = castanet::CompiledCosim::new(
-        LaneBank::new(duts),
-        config.clock_period,
-        cell_type,
-        HeaderFormat::Uni,
-    );
-    for i in 0..config.ports {
-        follower.add_ingress(IngressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            enable: 3 * i + 2,
-        });
-    }
-    for i in 0..config.ports {
-        follower.add_egress(EgressIndices {
-            data: 3 * i,
-            sync: 3 * i + 1,
-            valid: 3 * i + 2,
-        });
-    }
-    follower
 }
 
 /// The compiled-backend variant of [`switch_cosim`]: the same network model
@@ -455,7 +438,7 @@ impl SwitchCosimCompiled {
 /// Builds the compiled-backend co-simulation (see [`SwitchCosimCompiled`]).
 /// `lanes` instances run per sweep; network traffic drives lane 0 only —
 /// seed the others through
-/// [`castanet::CompiledCosim::seed_cell`] (or use
+/// [`ClockedCosim::seed_cell`] (or use
 /// [`switch_compiled_sweep`]).
 #[must_use]
 pub fn switch_cosim_compiled(config: SwitchScenarioConfig, lanes: usize) -> SwitchCosimCompiled {
@@ -467,7 +450,7 @@ pub fn switch_cosim_compiled(config: SwitchScenarioConfig, lanes: usize) -> Swit
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_compiled_follower(&config, cell_type, lanes);
+    let follower = switch_clocked_follower(&config, cell_type, switch_lane_bank(&config, lanes));
     SwitchCosimCompiled {
         coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
         collectors,
@@ -509,7 +492,11 @@ pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Ve
         "1..={} seeds per sweep",
         castanet_rtl::compiled::LANES
     );
-    let mut follower = switch_compiled_follower(config, MessageTypeId(0), seeds.len());
+    let mut follower = switch_clocked_follower(
+        config,
+        MessageTypeId(0),
+        switch_lane_bank(config, seeds.len()),
+    );
     let gap = config.cell_gap.as_picos();
     for (lane, &seed) in seeds.iter().enumerate() {
         let mut state = seed | 1;
@@ -529,13 +516,22 @@ pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Ve
         }
     }
     let horizon = SimTime::from_picos((config.cells_per_source + 4) * gap);
-    follower
+    // Lane 0's cells come back as responses, the other lanes' as traces.
+    let lane0 = follower
         .advance_batch(horizon)
         .expect("compiled sweep advance");
     (0..seeds.len())
         .map(|lane| {
             (0..config.ports)
-                .flat_map(|port| follower.lane_cells(port, lane).iter().cloned())
+                .flat_map(|port| match lane {
+                    0 => lane0
+                        .iter()
+                        .filter(|m| m.port == port)
+                        .filter_map(Message::as_cell)
+                        .cloned()
+                        .collect(),
+                    _ => follower.lane_cells(port, lane).to_vec(),
+                })
                 .collect()
         })
         .collect()

@@ -12,7 +12,9 @@
 //!    running past its granted horizon;
 //! 2. a *stress + determinism* pass over the real executor: maximum
 //!    backpressure (depth 1, tiny windows) and repeated runs that must
-//!    produce bit-identical traces.
+//!    produce bit-identical traces;
+//! 3. a drain check: the end-of-run drain delivers every cell of the
+//!    event-driven follower, whose clock parks between cells.
 
 use castanet::coupling::Coupling;
 use castanet::cyclecosim::{CycleCosim, EgressIndices, IngressIndices};
@@ -27,6 +29,7 @@ use castanet_netsim::process::{CollectorHandle, CollectorProcess};
 use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_rtl::cycle::CycleSim;
 use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
+use coverify::scenarios::{compare_switch_output, switch_cosim, SwitchScenarioConfig};
 use std::collections::HashSet;
 use std::collections::VecDeque;
 
@@ -313,4 +316,29 @@ fn time_warp_stress_matches_conservative_mode() {
     assert_eq!(reference, warped, "time-warp depth-1 stress diverged");
     let relaxed = run_mode(120, SimDuration::from_us(50), 4, ExecMode::TimeWarp);
     assert_eq!(reference, relaxed, "time-warp relaxed schedule diverged");
+}
+
+// ---------------------------------------------------------------------
+// Part 3: the parallel drain never strands a cell
+// ---------------------------------------------------------------------
+
+/// The event-driven follower's `now()` stays at its last executed event,
+/// so a drain horizon measured from `now()` can re-cover the same stretch
+/// chunk after chunk and stop before the last cell's pokes. On these
+/// seeds that used to lose one cell while `run` still returned `Ok`.
+#[test]
+fn parallel_drain_delivers_every_event_follower_cell() {
+    for seed in [1, 3, 2012] {
+        let config = SwitchScenarioConfig {
+            cells_per_source: 250,
+            seed,
+            ..SwitchScenarioConfig::default()
+        };
+        let scenario = switch_cosim(config);
+        let mut coupling = scenario.coupling.into_parallel();
+        let stats = coupling.run(SimTime::from_secs(1)).expect("run");
+        assert_eq!(stats.responses, 1000, "seed {seed}");
+        let report = compare_switch_output(&config, &scenario.collectors);
+        assert!(report.passed(), "seed {seed}: {report}");
+    }
 }
