@@ -55,14 +55,14 @@ impl CycleDut for InvChainDut {
     fn reset(&mut self) {
         self.state = vec![false; CHAIN];
     }
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let mut next = vec![false; CHAIN];
         next[0] = inputs[0] & 1 == 0;
         for (i, cell) in next.iter_mut().enumerate().skip(1) {
             *cell = !self.state[i - 1];
         }
         self.state = next;
-        vec![u64::from(self.state[CHAIN - 1])]
+        outputs[0] = u64::from(self.state[CHAIN - 1]);
     }
 }
 

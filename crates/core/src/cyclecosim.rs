@@ -36,7 +36,6 @@ use castanet_netsim::time::{SimDuration, SimTime};
 use castanet_obs::{Counter, Gauge, Telemetry};
 use castanet_rtl::compiled::LaneBank;
 use castanet_rtl::cycle::{ClockedEngine, CycleSim, PortDecl};
-use std::collections::VecDeque;
 
 /// The cycle-engine follower: one DUT instance.
 pub type CycleCosim = ClockedCosim<CycleSim>;
@@ -101,16 +100,108 @@ struct FollowerObs {
     idle_skips: Counter,
 }
 
+/// The input words queued for the clocks ahead of the engine, in one flat
+/// clock-major buffer: each row holds one clock's words (one per input
+/// port per lane, lane-major), and row [`Stimulus::head`] is the next
+/// clock to evaluate. A row is all-zero until a cell drives it, and
+/// `driven` flags the rows that a cell wrote. Consumed rows are dropped
+/// in place: the buffer empties once every row is consumed and compacts
+/// once consumed rows outnumber pending ones, so its capacity is reused
+/// and no clock allocates.
+struct Stimulus {
+    /// Words per row.
+    width: usize,
+    /// Rows already consumed at the front of the buffer.
+    head: usize,
+    words: Vec<u64>,
+    driven: Vec<bool>,
+}
+
+impl Stimulus {
+    /// Consumed rows kept at the front before a compaction may move the
+    /// pending ones down.
+    const COMPACT_ROWS: usize = 256;
+
+    fn new(width: usize) -> Self {
+        Stimulus {
+            width,
+            head: 0,
+            words: Vec::new(),
+            driven: Vec::new(),
+        }
+    }
+
+    /// Pending rows, driven or not.
+    fn len(&self) -> usize {
+        self.driven.len() - self.head
+    }
+
+    /// The row `ahead` clocks after the next one, marked driven; the
+    /// buffer grows with all-zero rows up to it.
+    fn row_mut(&mut self, ahead: usize) -> &mut [u64] {
+        let row = self.head + ahead;
+        if row >= self.driven.len() {
+            self.driven.resize(row + 1, false);
+            self.words.resize((row + 1) * self.width, 0);
+        }
+        self.driven[row] = true;
+        &mut self.words[row * self.width..][..self.width]
+    }
+
+    /// The next clock's words, or `None` when no cell drives that clock.
+    fn front(&self) -> Option<&[u64]> {
+        let driven = self.driven.get(self.head).copied().unwrap_or(false);
+        driven.then(|| &self.words[self.head * self.width..][..self.width])
+    }
+
+    /// How many clocks ahead the next driven row is.
+    fn next_driven(&self) -> Option<usize> {
+        self.driven[self.head..].iter().position(|&d| d)
+    }
+
+    /// Drops the next `n` rows (every pending row when fewer are left).
+    fn consume(&mut self, n: usize) {
+        let rows = self.driven.len();
+        self.head = (self.head + n).min(rows);
+        if self.head == rows {
+            self.clear();
+        } else if self.head >= Self::COMPACT_ROWS && 2 * self.head >= rows {
+            self.driven.copy_within(self.head.., 0);
+            self.driven.truncate(rows - self.head);
+            self.words.copy_within(self.head * self.width.., 0);
+            self.words.truncate((rows - self.head) * self.width);
+            self.head = 0;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.head = 0;
+        self.words.clear();
+        self.driven.clear();
+    }
+}
+
+impl Clone for Stimulus {
+    /// Copies the pending rows only.
+    fn clone(&self) -> Self {
+        Stimulus {
+            width: self.width,
+            head: 0,
+            words: self.words[self.head * self.width..].to_vec(),
+            driven: self.driven[self.head..].to_vec(),
+        }
+    }
+}
+
 /// The cell↔pin follower over a [`ClockedEngine`], with bank-wide idle
 /// skipping.
 pub struct ClockedCosim<E> {
     engine: E,
     clock_period: SimDuration,
     clocks_done: u64,
-    /// Per-clock input words for clocks `clocks_done..`, one word per
-    /// input port per lane, lane-major; `None` slots are all-zero (idle
-    /// lines in every lane).
-    stimulus: VecDeque<Option<Vec<u64>>>,
+    /// Input words for clocks `clocks_done..`; undriven clocks are
+    /// all-zero (idle lines in every lane).
+    stimulus: Stimulus,
     zero_inputs: Vec<u64>,
     ingress: Vec<IngressLine>,
     egress: Vec<EgressLine>,
@@ -142,9 +233,10 @@ impl<E: ClockedEngine> ClockedCosim<E> {
         response_type: MessageTypeId,
         format: HeaderFormat,
     ) -> Self {
+        let width = engine.lanes() * engine.input_ports().len();
         ClockedCosim {
-            stimulus: VecDeque::new(),
-            zero_inputs: vec![0; engine.lanes() * engine.input_ports().len()],
+            stimulus: Stimulus::new(width),
+            zero_inputs: vec![0; width],
             engine,
             clock_period,
             clocks_done: 0,
@@ -255,33 +347,23 @@ impl<E: ClockedEngine> ClockedCosim<E> {
             .max(self.clocks_done);
         let idx = self.ingress[port].idx;
         let ports = self.engine.input_ports().len();
-        let words = lane * ports..(lane + 1) * ports;
+        let ahead = (start - self.clocks_done) as usize;
         for (k, &byte) in wire.iter().enumerate() {
-            let slot = &mut self.slot_mut(start + k as u64)[words.clone()];
-            slot[idx.data] = u64::from(byte);
-            slot[idx.sync] = u64::from(k == 0);
-            slot[idx.enable] = 1;
+            let words = &mut self.stimulus.row_mut(ahead + k)[lane * ports..][..ports];
+            words[idx.data] = u64::from(byte);
+            words[idx.sync] = u64::from(k == 0);
+            words[idx.enable] = 1;
         }
         self.ingress[port].next_free_clock[lane] = start + CELL_OCTETS as u64;
         Ok(())
     }
 
-    fn slot_mut(&mut self, clock: u64) -> &mut Vec<u64> {
-        debug_assert!(clock >= self.clocks_done);
-        let idx = (clock - self.clocks_done) as usize;
-        while self.stimulus.len() <= idx {
-            self.stimulus.push_back(None);
-        }
-        self.stimulus[idx].get_or_insert_with(|| self.zero_inputs.clone())
-    }
-
     fn run_clock(&mut self) -> Result<Vec<Message>, CastanetError> {
-        let inputs = self.stimulus.pop_front().flatten();
         let stamp = SimTime::from_picos((self.clocks_done + 1) * self.clock_period.as_picos());
-        self.engine.edge(
-            inputs.as_deref().unwrap_or(&self.zero_inputs),
-            stamp.as_picos(),
-        )?;
+        let inputs = self.stimulus.front().unwrap_or(&self.zero_inputs);
+        let edge = self.engine.edge(inputs, stamp.as_picos());
+        self.stimulus.consume(1);
+        edge?;
         self.clocks_done += 1;
         let mut responses = Vec::new();
         for (port, line) in self.egress.iter_mut().enumerate() {
@@ -344,7 +426,7 @@ impl<E: ClockedEngine> ClockedCosim<E> {
             // nothing anywhere, so jump to the next stimulus clock (or the
             // horizon) in O(1).
             if self.engine.idle() {
-                match self.stimulus.iter().position(Option::is_some) {
+                match self.stimulus.next_driven() {
                     None => {
                         self.skipped += target - self.clocks_done;
                         self.obs.idle_skips.inc();
@@ -356,7 +438,7 @@ impl<E: ClockedEngine> ClockedCosim<E> {
                         let jump = (off as u64).min(target - self.clocks_done);
                         self.skipped += jump;
                         self.obs.idle_skips.inc();
-                        self.stimulus.drain(..jump as usize);
+                        self.stimulus.consume(jump as usize);
                         self.clocks_done += jump;
                         continue;
                     }
@@ -486,6 +568,8 @@ mod tests {
     use castanet_atm::addr::VpiVci;
     use castanet_rtl::cycle::CycleDut;
     use castanet_rtl::dut::{AtmSwitchRtl, SwitchRtlConfig};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     const CLK: SimDuration = SimDuration::from_ns(20);
 
@@ -684,6 +768,135 @@ mod tests {
         check(LaneBank::new(vec![Box::new(switch())]));
         assert!(fixture().structural_preflight().is_empty());
         assert!(bank(1).structural_preflight().is_empty());
+    }
+
+    /// Cells on every lane and both lines of [`routed_switch`]: bursts of
+    /// back-to-back cells on one line, short gaps, and idle gaps longer than
+    /// the stimulus buffer's compaction threshold. Each `(lane, port)`
+    /// stream is in stamp order.
+    fn random_traffic(rng: &mut SmallRng, lanes: usize) -> Vec<(usize, usize, SimTime, AtmCell)> {
+        let long_gap = 2 * Stimulus::COMPACT_ROWS as u64;
+        let mut traffic = Vec::new();
+        for lane in 0..lanes {
+            for port in 0..2 {
+                let mut clock = rng.random_range(0..100u64);
+                for _ in 0..rng.random_range(1..10u64) {
+                    clock += match rng.random_range(0..4u64) {
+                        0 => 0,
+                        1 => rng.random_range(long_gap..4 * long_gap),
+                        _ => rng.random_range(1..120u64),
+                    };
+                    let vci = [40, 41, 99][rng.random_range(0..3usize)];
+                    let payload = [rng.random::<u32>() as u8; 48];
+                    let cell = AtmCell::user_data(VpiVci::uni(1, vci).unwrap(), payload);
+                    let stamp = SimTime::from_picos(clock * CLK.as_picos());
+                    traffic.push((lane, port, stamp, cell));
+                }
+            }
+        }
+        traffic
+    }
+
+    /// The switch with a second route, so both egress lines carry cells.
+    fn routed_switch() -> AtmSwitchRtl {
+        let mut s = switch();
+        assert!(s.install_route(1, 41, 0, 8, 80));
+        s
+    }
+
+    /// Everything a run's outcome consists of: lane 0's responses, every
+    /// other lane's egress traces, and the evaluated/skipped clock counts.
+    type Outcome = (Vec<Message>, Vec<Vec<AtmCell>>, u64, u64);
+
+    fn outcome<E: ClockedEngine>(cosim: &ClockedCosim<E>, responses: Vec<Message>) -> Outcome {
+        let traces = (1..cosim.lanes())
+            .flat_map(|lane| (0..2).map(move |port| (lane, port)))
+            .map(|(lane, port)| cosim.lane_cells(port, lane).to_vec())
+            .collect();
+        (
+            responses,
+            traces,
+            cosim.clocks_evaluated(),
+            cosim.clocks_skipped(),
+        )
+    }
+
+    #[test]
+    fn stimulus_buffer_is_invariant_to_advance_granularity_and_forks() {
+        fn check<E: ClockedEngine>(make: impl Fn() -> ClockedCosim<E>, rng: &mut SmallRng) {
+            let lanes = make().lanes();
+            let traffic = random_traffic(rng, lanes);
+            let last = traffic.iter().map(|t| t.2).max().unwrap();
+            let end = last + SimDuration::from_us(40);
+            let seeded = || {
+                let mut cosim = make();
+                for (lane, port, stamp, cell) in &traffic {
+                    cosim.seed_cell(*lane, *port, *stamp, cell).unwrap();
+                }
+                cosim
+            };
+
+            // (a) Everything seeded up front, one sweep to the end.
+            let mut whole = seeded();
+            let responses = whole.advance_batch(end).unwrap();
+            let expected = outcome(&whole, responses);
+            assert!(expected.2 > 0, "{}: the traffic must be evaluated", E::NAME);
+
+            // (b) Each cell delivered just before the horizon passes its
+            // stamp, the run cut into many small `advance_until` calls.
+            let mut order: Vec<_> = traffic.iter().collect();
+            order.sort_by_key(|t| t.2);
+            let mut pending = order.into_iter().peekable();
+            let mut stepped = make();
+            let mut responses = Vec::new();
+            while stepped.now() + CLK < end {
+                let step = SimDuration::from_picos(rng.random_range(2..300u64) * CLK.as_picos());
+                let horizon = (stepped.now() + step).min(end);
+                while let Some((lane, port, stamp, cell)) = pending.next_if(|t| t.2 < horizon) {
+                    stepped.seed_cell(*lane, *port, *stamp, cell).unwrap();
+                }
+                responses.extend(stepped.advance_until(horizon).unwrap());
+            }
+            assert!(pending.next().is_none());
+            assert_eq!(
+                outcome(&stepped, responses),
+                expected,
+                "{}: stepped",
+                E::NAME
+            );
+
+            // (c) Forked at a random clock; the fork runs to the end.
+            let mut original = seeded();
+            let cut = SimTime::from_picos(rng.random_range(0..end.as_picos()));
+            let mut responses = original.advance_batch(cut).unwrap();
+            let mut fork = original.fork().expect("switch lanes fork");
+            let mut fork_responses = responses.clone();
+            fork_responses.extend(fork.advance_batch(end).unwrap());
+            assert_eq!(
+                outcome(&fork, fork_responses),
+                expected,
+                "{}: fork",
+                E::NAME
+            );
+            responses.extend(original.advance_batch(end).unwrap());
+            assert_eq!(
+                outcome(&original, responses),
+                expected,
+                "{}: forked from",
+                E::NAME
+            );
+        }
+
+        for seed in 0..24 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            check(|| wire(CycleSim::new(Box::new(routed_switch()))), &mut rng);
+            let lanes = rng.random_range(2..=4usize);
+            let bank = || {
+                let duts = (0..lanes).map(|_| Box::new(routed_switch()) as _).collect();
+                wire(LaneBank::new(duts))
+            };
+            check(bank, &mut rng);
+        }
     }
 
     #[test]

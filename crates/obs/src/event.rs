@@ -63,8 +63,6 @@ pub enum Phase {
     /// Compiled backend: checking every lane's stimulus words against the
     /// input ports.
     CompiledPack,
-    /// Compiled backend: storing every lane's output words lane-major.
-    CompiledUnpack,
     /// Parallel executor: streaming grant windows to the follower.
     ParallelGrant,
     /// Parallel executor: barrier wait for in-flight window replies.
@@ -86,7 +84,6 @@ impl Phase {
         Phase::CompiledScheduleEval,
         Phase::CompiledFallbackEval,
         Phase::CompiledPack,
-        Phase::CompiledUnpack,
         Phase::ParallelGrant,
         Phase::ParallelWait,
         Phase::ParallelDrain,
@@ -105,7 +102,6 @@ impl Phase {
             Phase::CompiledScheduleEval => "compiled.schedule_eval",
             Phase::CompiledFallbackEval => "compiled.fallback_eval",
             Phase::CompiledPack => "compiled.pack",
-            Phase::CompiledUnpack => "compiled.unpack",
             Phase::ParallelGrant => "parallel.grant",
             Phase::ParallelWait => "parallel.wait",
             Phase::ParallelDrain => "parallel.drain",
@@ -127,7 +123,6 @@ impl Phase {
                 | Phase::CompiledScheduleEval
                 | Phase::CompiledFallbackEval
                 | Phase::CompiledPack
-                | Phase::CompiledUnpack
                 | Phase::SyncDeferredWindow
         )
     }
@@ -269,12 +264,21 @@ impl EventKind {
         "compiled.schedule_eval",
         "compiled.fallback_eval",
         "compiled.pack",
-        "compiled.unpack",
         "parallel.grant",
         "parallel.wait",
         "parallel.drain",
         "sync.deferred_window",
     ];
+
+    /// Names earlier versions recorded that no event carries any more.
+    /// Validation still accepts them, so recorded traces stay readable.
+    pub const RETIRED_NAMES: &'static [&'static str] = &["compiled.unpack"];
+
+    /// `true` for a current or retired event name.
+    #[must_use]
+    pub fn is_known_name(name: &str) -> bool {
+        EventKind::NAMES.contains(&name) || EventKind::RETIRED_NAMES.contains(&name)
+    }
 
     /// The kind-specific payload as `(key, value)` pairs, in a stable
     /// order. Exporters render these as the event's `args`.
@@ -553,9 +557,13 @@ mod tests {
     #[test]
     fn names_are_unique() {
         let mut names: Vec<_> = EventKind::NAMES.to_vec();
+        names.extend_from_slice(EventKind::RETIRED_NAMES);
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), EventKind::NAMES.len());
+        assert_eq!(
+            names.len(),
+            EventKind::NAMES.len() + EventKind::RETIRED_NAMES.len()
+        );
     }
 
     #[test]

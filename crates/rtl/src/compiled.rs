@@ -29,7 +29,7 @@
 //! coupling layer drives through the same [`ClockedEngine`] interface as
 //! the one-lane cycle engine.
 
-use crate::cycle::{check_inputs, ClockedEngine, CycleDut, PortDecl};
+use crate::cycle::{check_inputs, clock_dut, ClockedEngine, CycleDut, PortDecl};
 use crate::error::RtlError;
 use crate::logic::Logic;
 use crate::signal::SignalId;
@@ -831,19 +831,17 @@ impl CompiledSim {
 /// Up to [`LANES`] replicated behavioral [`CycleDut`] instances stepped by
 /// one clock edge: the batching fallback for DUTs that cannot be lowered
 /// to word code (the stock switch wrapper). Behavioral DUTs read and write
-/// integers, so each lane steps on its own input words and the bank keeps
-/// the outputs lane-major for [`ClockedEngine::lane_outputs`].
+/// integers, so each lane steps on its own input words and writes its
+/// output words straight into its lane-major slice of the bank's output
+/// buffer, which [`ClockedEngine::lane_outputs`] reads.
 pub struct LaneBank {
     duts: Vec<Box<dyn CycleDut>>,
     in_ports: Vec<PortDecl>,
     out_ports: Vec<PortDecl>,
     cycles: u64,
-    /// Each lane's output vector as its DUT returned it from the latest
-    /// edge.
-    returned: Vec<Vec<u64>>,
-    /// The same words lane-major, for [`ClockedEngine::lane_outputs`].
+    /// Every lane's output words after the latest edge, lane-major.
     outputs: Vec<u64>,
-    /// Telemetry handle for the sampled pack/eval/unpack micro-phases.
+    /// Telemetry handle for the sampled pack/eval micro-phases.
     tel: Telemetry,
     /// `compiled.fallback_evals` — behavioral bank clock edges.
     fallback_evals: Counter,
@@ -879,7 +877,6 @@ impl LaneBank {
             );
         }
         LaneBank {
-            returned: vec![Vec::new(); duts.len()],
             outputs: vec![0; duts.len() * out_ports.len()],
             duts,
             in_ports,
@@ -905,7 +902,6 @@ impl LaneBank {
             in_ports: self.in_ports.clone(),
             out_ports: self.out_ports.clone(),
             cycles: self.cycles,
-            returned: vec![Vec::new(); self.duts.len()],
             outputs: self.outputs.clone(),
             tel: self.tel.clone(),
             fallback_evals: self.fallback_evals.clone(),
@@ -949,39 +945,34 @@ impl ClockedEngine for LaneBank {
         self.cycles
     }
 
-    /// One sampling decision covers the edge's three micro-phases — pack
-    /// (check every lane's input words against the ports), the behavioral
-    /// fallback evaluation, and unpack (store each lane's outputs
-    /// lane-major) — so a sampled edge yields one complete
-    /// pack/eval/unpack triple. A rejected edge steps no lane.
+    /// One sampling decision covers the edge's two micro-phases — pack
+    /// (check every lane's input words against the ports) and the
+    /// behavioral fallback evaluation, in which each lane writes its
+    /// outputs straight into its lane-major slice. A rejected edge steps
+    /// no lane.
     fn edge(&mut self, inputs: &[u64], t_ps: u64) -> Result<(), RtlError> {
         let sampled = self.tel.micro_gate();
         let mut mark = if sampled { self.tel.now_ns() } else { 0 };
-        let n = self.in_ports.len();
         check_inputs(&self.in_ports, self.duts.len(), inputs)?;
         if sampled {
             mark = self
                 .tel
                 .record_phase(Track::Follower, t_ps, Phase::CompiledPack, mark);
         }
+        let (n, m) = (self.in_ports.len(), self.out_ports.len());
         for (lane, dut) in self.duts.iter_mut().enumerate() {
-            self.returned[lane] = dut.clock_edge(&inputs[lane * n..(lane + 1) * n]);
+            clock_dut(
+                dut.as_mut(),
+                &self.out_ports,
+                &inputs[lane * n..][..n],
+                &mut self.outputs[lane * m..][..m],
+            );
         }
         self.cycles += 1;
         self.fallback_evals.inc();
         if sampled {
-            mark = self
-                .tel
-                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
-        }
-        let m = self.out_ports.len();
-        for (lane, outs) in self.returned.iter().enumerate() {
-            debug_assert_eq!(outs.len(), m, "dut returned wrong output count");
-            self.outputs[lane * m..(lane + 1) * m].copy_from_slice(outs);
-        }
-        if sampled {
             self.tel
-                .record_phase(Track::Follower, t_ps, Phase::CompiledUnpack, mark);
+                .record_phase(Track::Follower, t_ps, Phase::CompiledFallbackEval, mark);
         }
         Ok(())
     }
@@ -1442,9 +1433,9 @@ mod tests {
         fn reset(&mut self) {
             self.total = 0;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
             self.total = (self.total + inputs[0]) & 0xFFFF;
-            vec![self.total]
+            outputs[0] = self.total;
         }
         fn is_idle(&self) -> bool {
             true
@@ -1516,8 +1507,8 @@ mod tests {
                 vec![PortDecl::new("y", 2)]
             }
             fn reset(&mut self) {}
-            fn clock_edge(&mut self, _inputs: &[u64]) -> Vec<u64> {
-                vec![0]
+            fn clock_edge(&mut self, _inputs: &[u64], outputs: &mut [u64]) {
+                outputs[0] = 0;
             }
         }
         let _ = LaneBank::new(vec![Box::new(Accum::default()), Box::new(Other)]);

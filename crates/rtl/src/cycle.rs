@@ -62,15 +62,18 @@ pub trait CycleDut: Send {
     /// Input port declarations, in the order `clock_edge` expects.
     fn input_ports(&self) -> Vec<PortDecl>;
 
-    /// Output port declarations, in the order `clock_edge` returns.
+    /// Output port declarations, in the order `clock_edge` writes them.
     fn output_ports(&self) -> Vec<PortDecl>;
 
     /// Returns all state to power-on values.
     fn reset(&mut self);
 
     /// Executes one rising clock edge: samples `inputs` (one word per input
-    /// port) and returns the output pin values *after* the edge.
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64>;
+    /// port) and writes the output pin values *after* the edge into
+    /// `outputs` (one word per output port). The caller owns both slices
+    /// and reuses them from edge to edge, so a clock edge allocates
+    /// nothing; an implementation writes every output word on every edge.
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]);
 
     /// `true` when the DUT is quiescent: with all-zero inputs, further
     /// clocks provably change nothing observable. A cycle-based
@@ -124,11 +127,13 @@ pub trait CycleDut: Send {
 ///     fn input_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("x", 8)] }
 ///     fn output_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("y", 8)] }
 ///     fn reset(&mut self) {}
-///     fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> { vec![(inputs[0] * 2) & 0xFF] }
+///     fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+///         outputs[0] = (inputs[0] * 2) & 0xFF;
+///     }
 /// }
 ///
 /// let mut sim = CycleSim::new(Box::new(Doubler));
-/// assert_eq!(sim.step(&[21])?, vec![42]);
+/// assert_eq!(sim.step(&[21])?, [42]);
 /// assert_eq!(sim.cycles(), 1);
 /// # Ok::<(), castanet_rtl::error::RtlError>(())
 /// ```
@@ -137,7 +142,7 @@ pub struct CycleSim {
     inputs: Vec<PortDecl>,
     outputs: Vec<PortDecl>,
     cycles: u64,
-    /// Output words of the latest [`ClockedEngine::edge`].
+    /// Output words of the latest edge, written in place by every edge.
     last_outputs: Vec<u64>,
     /// Telemetry handle for the sampled `cycle.eval` micro-phase.
     tel: Telemetry,
@@ -171,35 +176,35 @@ impl CycleSim {
         }
     }
 
-    /// Executes one clock edge.
+    /// Executes one clock edge and returns the output words after it.
     ///
     /// # Errors
     ///
     /// Returns [`RtlError::PortCountMismatch`] for a wrong input count or
     /// [`RtlError::WidthMismatch`] when a word exceeds its port width.
-    pub fn step(&mut self, inputs: &[u64]) -> Result<Vec<u64>, RtlError> {
+    pub fn step(&mut self, inputs: &[u64]) -> Result<&[u64], RtlError> {
         check_inputs(&self.inputs, 1, inputs)?;
         self.cycles += 1;
-        let out = self.dut.clock_edge(inputs);
-        debug_assert_eq!(
-            out.len(),
-            self.outputs.len(),
-            "dut returned wrong output count"
+        clock_dut(
+            self.dut.as_mut(),
+            &self.outputs,
+            inputs,
+            &mut self.last_outputs,
         );
-        Ok(out)
+        Ok(&self.last_outputs)
     }
 
-    /// Executes `n` cycles with constant inputs, returning the last outputs.
+    /// Executes `n` cycles with constant inputs, returning the last outputs
+    /// (the current ones when `n` is 0).
     ///
     /// # Errors
     ///
     /// See [`CycleSim::step`].
-    pub fn step_n(&mut self, inputs: &[u64], n: u64) -> Result<Vec<u64>, RtlError> {
-        let mut last = Vec::new();
+    pub fn step_n(&mut self, inputs: &[u64], n: u64) -> Result<&[u64], RtlError> {
         for _ in 0..n {
-            last = self.step(inputs)?;
+            self.step(inputs)?;
         }
-        Ok(last)
+        Ok(&self.last_outputs)
     }
 
     /// Resets the DUT and the cycle counter.
@@ -284,6 +289,35 @@ pub(crate) fn check_inputs(
     Ok(())
 }
 
+/// Executes one clock edge of `dut` into the caller-owned `outputs`.
+///
+/// Debug builds first fill `outputs` with `u64::MAX`, a word no port
+/// narrower than 64 bits can hold, and afterwards assert that every word
+/// fits its port in `ports`. A DUT that leaves an output word unwritten
+/// therefore fails instead of silently repeating the previous edge's
+/// value. Release builds only step the DUT.
+pub(crate) fn clock_dut(
+    dut: &mut dyn CycleDut,
+    ports: &[PortDecl],
+    inputs: &[u64],
+    outputs: &mut [u64],
+) {
+    if cfg!(debug_assertions) {
+        outputs.fill(u64::MAX);
+    }
+    dut.clock_edge(inputs, outputs);
+    if cfg!(debug_assertions) {
+        for (word, port) in outputs.iter().zip(ports) {
+            debug_assert!(
+                word & !port.mask() == 0,
+                "DUT left output `{}` unwritten or wrote a word wider than {} bits",
+                port.name,
+                port.width
+            );
+        }
+    }
+}
+
 /// A clocked engine that a cell↔pin follower drives one edge at a time:
 /// [`lanes`](ClockedEngine::lanes) replicated DUT instances behind one
 /// port list, every lane stepped by the same edge. [`CycleSim`] is the
@@ -362,7 +396,7 @@ impl ClockedEngine for CycleSim {
     fn edge(&mut self, inputs: &[u64], t_ps: u64) -> Result<(), RtlError> {
         let sampled = self.tel.micro_gate();
         let start = if sampled { self.tel.now_ns() } else { 0 };
-        self.last_outputs = self.step(inputs)?;
+        self.step(inputs)?;
         if sampled {
             self.tel
                 .record_phase(Track::Follower, t_ps, Phase::CycleEval, start);
@@ -402,10 +436,12 @@ struct CycleDutProcess {
     clk: SignalId,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
-    out_widths: Vec<usize>,
+    out_ports: Vec<PortDecl>,
     /// Reused input-word buffer: one sample per clock edge, no
     /// per-edge allocation.
     in_words: Vec<u64>,
+    /// Output words the DUT writes on each edge (reused, one per port).
+    out_words: Vec<u64>,
     /// Output words assigned on the previous edge: an unchanged word is
     /// not re-driven (a same-value drive produces no event, so skipping
     /// it is observationally identical and saves the resolution work).
@@ -448,24 +484,29 @@ impl RtlProcess for CycleDutProcess {
             self.in_words
                 .push(ctx.read_u64(self.inputs[i]).unwrap_or(0));
         }
-        let outs = self.dut.clock_edge(&self.in_words);
+        clock_dut(
+            self.dut.as_mut(),
+            &self.out_ports,
+            &self.in_words,
+            &mut self.out_words,
+        );
         let first = self.out_prev.is_empty();
-        for (i, ((sig, &word), width)) in self
+        for (i, ((sig, &word), port)) in self
             .outputs
             .iter()
-            .zip(&outs)
-            .zip(&self.out_widths)
+            .zip(&self.out_words)
+            .zip(&self.out_ports)
             .enumerate()
         {
             if first || self.out_prev[i] != word {
                 ctx.assign(
                     *sig,
-                    crate::vector::LogicVector::from_u64(word & mask(*width), *width),
+                    crate::vector::LogicVector::from_u64(word & port.mask(), port.width),
                 );
             }
         }
         self.out_prev.clear();
-        self.out_prev.extend_from_slice(&outs);
+        self.out_prev.extend_from_slice(&self.out_words);
         if let Some(busy) = self.busy {
             // With inert inputs, inert outputs and a quiescent DUT, every
             // further edge is a provable no-op — and nothing assigned on
@@ -473,7 +514,7 @@ impl RtlProcess for CycleDutProcess {
             // the next one. Park the clock until an input event.
             if self.dut.is_idle()
                 && self.dut.inputs_inert(&self.in_words)
-                && self.dut.outputs_inert(&outs)
+                && self.dut.outputs_inert(&self.out_words)
             {
                 self.armed = false;
                 ctx.assign_bit(busy, Logic::Zero);
@@ -493,14 +534,6 @@ impl RtlProcess for CycleDutProcess {
             io = io.writes([busy]);
         }
         Some(io)
-    }
-}
-
-fn mask(width: usize) -> u64 {
-    if width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << width) - 1
     }
 }
 
@@ -536,8 +569,9 @@ pub fn attach_cycle_dut(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(|p| p.width).collect(),
+        out_ports: out_decls.clone(),
         in_words: Vec::with_capacity(inputs.len()),
+        out_words: vec![0; outputs.len()],
         out_prev: Vec::new(),
         busy: None,
         armed: true,
@@ -596,8 +630,9 @@ pub fn attach_cycle_dut_gated(
         clk,
         inputs: inputs.clone(),
         outputs: outputs.clone(),
-        out_widths: out_decls.iter().map(|p| p.width).collect(),
+        out_ports: out_decls.clone(),
         in_words: Vec::with_capacity(inputs.len()),
+        out_words: vec![0; outputs.len()],
         out_prev: Vec::new(),
         busy: Some(busy),
         armed: true,
@@ -638,13 +673,13 @@ mod tests {
         fn reset(&mut self) {
             self.acc = 0;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
             if inputs[1] == 1 {
                 self.acc = 0;
             } else {
                 self.acc = (self.acc + inputs[0]) & 0xFFFF;
             }
-            vec![self.acc]
+            outputs[0] = self.acc;
         }
     }
 
@@ -658,6 +693,39 @@ mod tests {
         sim.reset();
         assert_eq!(sim.cycles(), 0);
         assert_eq!(sim.step(&[1, 0]).unwrap(), vec![1]);
+    }
+
+    /// Writes output `a` but never output `b`: a DUT bug the debug
+    /// output check must catch on every engine.
+    struct ForgetsOutput;
+    impl CycleDut for ForgetsOutput {
+        fn input_ports(&self) -> Vec<PortDecl> {
+            vec![PortDecl::new("x", 8)]
+        }
+        fn output_ports(&self) -> Vec<PortDecl> {
+            vec![PortDecl::new("a", 8), PortDecl::new("b", 8)]
+        }
+        fn reset(&mut self) {}
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
+            outputs[0] = inputs[0];
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "DUT left output `b` unwritten")]
+    fn cycle_sim_rejects_an_unwritten_output_in_debug_builds() {
+        let mut sim = CycleSim::new(Box::new(ForgetsOutput));
+        let _ = sim.step(&[1]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "DUT left output `b` unwritten")]
+    fn lane_bank_rejects_an_unwritten_output_in_debug_builds() {
+        let mut bank =
+            crate::compiled::LaneBank::new(vec![Box::new(ForgetsOutput), Box::new(ForgetsOutput)]);
+        let _ = bank.edge(&[1, 2], 0);
     }
 
     #[test]
@@ -757,15 +825,15 @@ mod tests {
         fn reset(&mut self) {
             self.pending = None;
         }
-        fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+        fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
             let out = match self.pending.take() {
-                Some(d) => vec![1, d],
-                None => vec![0, 0],
+                Some(d) => [1, d],
+                None => [0, 0],
             };
+            outputs.copy_from_slice(&out);
             if inputs[0] == 1 {
                 self.pending = Some(inputs[1]);
             }
-            out
         }
         fn is_idle(&self) -> bool {
             self.pending.is_none()

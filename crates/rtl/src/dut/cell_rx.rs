@@ -118,7 +118,7 @@ impl CycleDut for CellReceiver {
         Some(Box::new(self.clone()))
     }
 
-    fn clock_edge(&mut self, inputs: &[u64]) -> Vec<u64> {
+    fn clock_edge(&mut self, inputs: &[u64], outputs: &mut [u64]) {
         let data = inputs[0] as u8;
         let sync = inputs[1] == 1;
         let enable = inputs[2] == 1;
@@ -153,7 +153,7 @@ impl CycleDut for CellReceiver {
         }
         self.rd_data = self.done[rd_addr];
 
-        vec![
+        outputs.copy_from_slice(&[
             u64::from(self.cell_valid),
             u64::from(self.hec_ok),
             u64::from(self.vpi),
@@ -162,7 +162,7 @@ impl CycleDut for CellReceiver {
             u64::from(self.clp),
             u64::from(self.rd_data),
             u64::from(self.cells),
-        ]
+        ]);
     }
 }
 
@@ -182,12 +182,12 @@ mod tests {
     /// Streams a 53-octet cell into the receiver, returning the outputs of
     /// the final byte's clock edge.
     fn stream_cell(sim: &mut CycleSim, wire: &[u8; CELL_OCTETS]) -> Vec<u64> {
-        let mut last = Vec::new();
+        let mut last: &[u64] = &[];
         for (i, &b) in wire.iter().enumerate() {
             let sync = u64::from(i == 0);
             last = sim.step(&[u64::from(b), sync, 1, 0]).unwrap();
         }
-        last
+        last.to_vec()
     }
 
     #[test]
@@ -237,7 +237,7 @@ mod tests {
             assert_eq!(out[0], 0);
         }
         // Remaining 52 bytes.
-        let mut last = Vec::new();
+        let mut last: &[u64] = &[];
         for &b in &wire[1..] {
             last = sim.step(&[u64::from(b), 0, 1, 0]).unwrap();
         }

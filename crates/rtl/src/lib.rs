@@ -11,7 +11,10 @@
 //!   sharing DUTs with the event-driven kernel via
 //!   [`cycle::attach_cycle_dut`], and [`cycle::ClockedEngine`], the
 //!   clocked-engine interface the coupling's cell↔pin follower drives it
-//!   and [`compiled::LaneBank`] through;
+//!   and [`compiled::LaneBank`] through. A [`cycle::CycleDut`] steps by
+//!   `clock_edge(inputs, outputs)`: it reads one word per input port and
+//!   writes one word per output port into a slice its caller owns and
+//!   reuses, so no clock edge on any engine allocates;
 //! * [`compiled`] — the compiled bit-parallel backend: the levelized
 //!   netlist lowered to word-level ops over bit-sliced state, 64 scenario
 //!   lanes per instruction, plus the [`compiled::LaneBank`] batching
@@ -39,7 +42,8 @@
 //! let cell = AtmCell::user_data(VpiVci::uni(1, 42)?, [0; 48]);
 //! let wire = cell.encode(HeaderFormat::Uni)?;
 //! let mut sim = CycleSim::new(Box::new(CellReceiver::new()));
-//! let mut last = Vec::new();
+//! // `step` lends out the engine's own output words until the next edge.
+//! let mut last: &[u64] = &[];
 //! for (i, &byte) in wire.iter().enumerate() {
 //!     last = sim.step(&[u64::from(byte), u64::from(i == 0), 1, 0])?;
 //! }

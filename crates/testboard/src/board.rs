@@ -26,7 +26,9 @@ use std::time::Duration;
 ///     fn input_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("x", 8)] }
 ///     fn output_ports(&self) -> Vec<PortDecl> { vec![PortDecl::new("y", 8)] }
 ///     fn reset(&mut self) {}
-///     fn clock_edge(&mut self, i: &[u64]) -> Vec<u64> { vec![(i[0] + 1) & 0xFF] }
+///     // Reads one word per input port and writes one word per output
+///     // port into the caller's buffer; nothing is allocated per clock.
+///     fn clock_edge(&mut self, i: &[u64], o: &mut [u64]) { o[0] = (i[0] + 1) & 0xFF; }
 /// }
 ///
 /// let (dut, lanes) = MappedCycleDut::auto_mapped(Box::new(Inc));
@@ -237,8 +239,8 @@ mod tests {
             vec![PortDecl::new("y", 8)]
         }
         fn reset(&mut self) {}
-        fn clock_edge(&mut self, i: &[u64]) -> Vec<u64> {
-            vec![(i[0] + 1) & 0xFF]
+        fn clock_edge(&mut self, i: &[u64], o: &mut [u64]) {
+            o[0] = (i[0] + 1) & 0xFF;
         }
     }
 

@@ -214,7 +214,7 @@ fn walking_ones_pass_through_the_receiver_dut() {
     let mut sim = CycleSim::new(Box::new(CellReceiver::new()));
     for cell in header_walking_ones().expect("generate") {
         let wire = cell.encode(HeaderFormat::Uni).expect("encode");
-        let mut last = Vec::new();
+        let mut last: &[u64] = &[];
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
@@ -238,7 +238,7 @@ fn hec_error_campaign_through_the_receiver_dut() {
     let singles = single_bit_hec_errors(&base, HeaderFormat::Uni).expect("generate");
     assert_eq!(singles.len(), 40);
     for (bit, wire, _) in singles {
-        let mut last = Vec::new();
+        let mut last: &[u64] = &[];
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
@@ -248,7 +248,7 @@ fn hec_error_campaign_through_the_receiver_dut() {
         assert_eq!(last[1], 0, "hec flagged (bit {bit})");
     }
     for wire in double_bit_hec_errors(&base, HeaderFormat::Uni).expect("generate") {
-        let mut last = Vec::new();
+        let mut last: &[u64] = &[];
         for (i, &b) in wire.iter().enumerate() {
             last = sim
                 .step(&[u64::from(b), u64::from(i == 0), 1, 0])
@@ -258,7 +258,7 @@ fn hec_error_campaign_through_the_receiver_dut() {
     }
     // A clean cell still passes after the campaign.
     let wire = base.encode(HeaderFormat::Uni).expect("encode");
-    let mut last = Vec::new();
+    let mut last: &[u64] = &[];
     for (i, &b) in wire.iter().enumerate() {
         last = sim
             .step(&[u64::from(b), u64::from(i == 0), 1, 0])

@@ -337,6 +337,7 @@ fn opt_step(state: &mut OptState, cell: &AtmCell) -> Vec<AtmCell> {
     let mut out = Vec::new();
     let mut clocks = 0u32;
     let mut fed = 0usize;
+    let mut outputs = vec![0u64; state.switch.output_ports().len()];
     // Feed 53 octets, then idle until the switch pipeline drains.
     while fed < wire.len() || !state.switch.is_idle() {
         let mut inputs = [0u64; 12];
@@ -346,7 +347,7 @@ fn opt_step(state: &mut OptState, cell: &AtmCell) -> Vec<AtmCell> {
             inputs[2] = 1;
             fed += 1;
         }
-        let outputs = state.switch.clock_edge(&inputs);
+        state.switch.clock_edge(&inputs, &mut outputs);
         if outputs[5] == 1 {
             if let Some(cell) = state
                 .rx
