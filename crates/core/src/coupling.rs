@@ -344,20 +344,15 @@ pub(crate) fn inject_responses(
     Ok(injected)
 }
 
-/// The coupling executive.
-///
-/// Construction recipe: build a network model containing a
-/// [`crate::interface::CastanetInterfaceProcess`], build a follower (e.g.
-/// [`RtlCosim`]), then [`Coupling::new`] with the interface's module id and
-/// outbox.
-pub struct Coupling<S: CoupledSimulator> {
-    net: Kernel,
-    follower: S,
-    sync: ConservativeSync,
-    cell_type: MessageTypeId,
-    outbox: OutboxHandle,
-    iface: ModuleId,
-    stats: CouplingStats,
+/// The follower half of §3.1's protocol, shared by both schedules: the
+/// serial [`Coupling::run`] steps it on the calling thread, and the
+/// parallel executor's follower thread borrows it for the run. Each
+/// follower-side protocol step — raising the time-update promise, queuing
+/// stimulus, the timed advance, settling the local clock — exists here
+/// once, so the two schedules cannot drift apart on how they take it.
+pub(crate) struct FollowerSide<S> {
+    pub(crate) follower: S,
+    pub(crate) sync: ConservativeSync,
     /// Largest time-update promise sent to the follower. Promises are
     /// monotone: once the originator has declared "no stimulus before t",
     /// later (injection-created) events may run earlier on the network
@@ -365,28 +360,125 @@ pub struct Coupling<S: CoupledSimulator> {
     /// feedforward assumption of the paper's flow. Violations surface as
     /// causality errors from the synchronizer.
     promised: SimTime,
+}
+
+impl<S: CoupledSimulator> FollowerSide<S> {
+    /// The largest promise made so far.
+    pub(crate) fn promised(&self) -> SimTime {
+        self.promised
+    }
+
+    /// Time update: promises no stimulus before `horizon` with a null
+    /// message of `cell_type`. Promises only ever grow (see `promised`);
+    /// returns whether this one did.
+    pub(crate) fn promise(
+        &mut self,
+        cell_type: MessageTypeId,
+        horizon: SimTime,
+    ) -> Result<bool, CastanetError> {
+        if horizon <= self.promised {
+            return Ok(false);
+        }
+        self.sync.receive(cell_type, horizon, true)?;
+        self.promised = horizon;
+        Ok(true)
+    }
+
+    /// Queues one stimulus message with the synchronizer, raising the
+    /// originator clock, and records it on `track`.
+    pub(crate) fn enqueue(
+        &mut self,
+        msg: &Message,
+        tel: &Telemetry,
+        track: Track,
+    ) -> Result<(), CastanetError> {
+        self.sync.receive(msg.type_id, msg.stamp, false)?;
+        tel.record(
+            track,
+            msg.stamp.as_picos(),
+            EventKind::StimulusEnqueued {
+                type_id: msg.type_id.0,
+                port: msg.port as u32,
+                stamp_ps: msg.stamp.as_picos(),
+            },
+        );
+        Ok(())
+    }
+
+    /// Runs `step` on the follower as one `FollowerAdvance` span up to
+    /// `granted`. With `thin`, response-less advances record only at the
+    /// micro-sample stride: the serial loop advances once per network
+    /// event and most turns return nothing, and two clock reads per idle
+    /// turn used to dominate the full-trace overhead budget.
+    pub(crate) fn advance(
+        &mut self,
+        granted: SimTime,
+        tel: &Telemetry,
+        thin: bool,
+        step: impl FnOnce(&mut S) -> Result<Vec<Message>, CastanetError>,
+    ) -> Result<Vec<Message>, CastanetError> {
+        let start = if tel.trace_active() { tel.now_ns() } else { 0 };
+        let responses = step(&mut self.follower)?;
+        if !thin || !responses.is_empty() || tel.micro_gate() {
+            tel.record_span(
+                Track::Follower,
+                granted.as_picos(),
+                start,
+                EventKind::FollowerAdvance {
+                    granted_ps: granted.as_picos(),
+                    responses: responses.len() as u64,
+                },
+            );
+        }
+        Ok(responses)
+    }
+
+    /// Settles the synchronizer's local clock on the follower's, never
+    /// past the grant — the lag invariant `t_local ≤ grant`.
+    pub(crate) fn settle(&mut self) -> Result<(), CastanetError> {
+        let local = self.follower.now().max(self.sync.local_time());
+        if local <= self.sync.grant() {
+            self.sync.advance_local(local)?;
+        }
+        Ok(())
+    }
+}
+
+/// The coupling executive.
+///
+/// Construction recipe: build a network model containing a
+/// [`crate::interface::CastanetInterfaceProcess`], build a follower (e.g.
+/// [`RtlCosim`]), then [`Coupling::new`] with the interface's module id and
+/// outbox. [`Coupling::into_parallel`] re-hosts the same coupling on the
+/// pipelined two-thread executor.
+pub struct Coupling<S: CoupledSimulator> {
+    pub(crate) net: Kernel,
+    pub(crate) side: FollowerSide<S>,
+    pub(crate) cell_type: MessageTypeId,
+    pub(crate) outbox: OutboxHandle,
+    pub(crate) iface: ModuleId,
+    pub(crate) stats: CouplingStats,
     /// Chunk size of the final drain phase (see [`Coupling::with_drain`]).
-    drain_quantum: SimDuration,
+    pub(crate) drain_quantum: SimDuration,
     /// Quiet drain chunks required before the run is declared complete.
-    drain_quiet_chunks: u32,
-    /// When set, [`Coupling::run`] refuses to start until the assembled
-    /// configuration passes the static pre-flight checks (see
-    /// [`Coupling::preflight`]).
-    strict: bool,
+    pub(crate) drain_quiet_chunks: u32,
+    /// When set, `run` refuses to start until the assembled configuration
+    /// passes the static pre-flight checks (see [`Coupling::preflight`]).
+    pub(crate) strict: bool,
     /// Reused drain buffer for the per-event outbox pump: once warm, the
     /// stimulus path runs without allocating.
     outbox_scratch: Vec<Message>,
     /// Telemetry handle; disabled (all recording a no-op) by default.
-    tel: Telemetry,
+    pub(crate) tel: Telemetry,
     /// Cached `sync.*` counter handles (inert until telemetry attaches).
-    sync_counters: SyncCounters,
+    pub(crate) sync_counters: SyncCounters,
 }
 
 impl<S: CoupledSimulator> std::fmt::Debug for Coupling<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Coupling")
             .field("net_now", &self.net.now())
-            .field("follower_now", &self.follower.now())
+            .field("follower_now", &self.side.follower.now())
             .field("stats", &self.stats)
             .finish()
     }
@@ -407,13 +499,15 @@ impl<S: CoupledSimulator> Coupling<S> {
     ) -> Self {
         Coupling {
             net,
-            follower,
-            sync,
+            side: FollowerSide {
+                follower,
+                sync,
+                promised: SimTime::ZERO,
+            },
             cell_type,
             outbox,
             iface,
             stats: CouplingStats::default(),
-            promised: SimTime::ZERO,
             drain_quantum: SimDuration::from_us(50),
             drain_quiet_chunks: 2,
             strict: false,
@@ -433,8 +527,8 @@ impl<S: CoupledSimulator> Coupling<S> {
         self.tel = tel.clone();
         self.sync_counters = SyncCounters::new(tel);
         self.net.set_telemetry(tel);
-        self.sync.set_telemetry(tel);
-        self.follower.set_telemetry(tel);
+        self.side.sync.set_telemetry(tel);
+        self.side.follower.set_telemetry(tel);
         self
     }
 
@@ -445,10 +539,10 @@ impl<S: CoupledSimulator> Coupling<S> {
         &self.tel
     }
 
-    /// Enables (or disables) strict mode: [`Coupling::run`] then executes
-    /// [`Coupling::preflight`] before the first event and fails fast with
-    /// [`CastanetError::Preflight`] on a rejected configuration, instead of
-    /// panicking or corrupting results mid-run.
+    /// Enables (or disables) strict mode: `run` (serial or parallel) then
+    /// executes [`Coupling::preflight`] before the first event and fails
+    /// fast with [`CastanetError::Preflight`] on a rejected configuration,
+    /// instead of panicking or corrupting results mid-run.
     #[must_use]
     pub fn with_strict(mut self, strict: bool) -> Self {
         self.strict = strict;
@@ -488,8 +582,47 @@ impl<S: CoupledSimulator> Coupling<S> {
     ///
     /// Returns [`CastanetError::Preflight`] listing every finding.
     pub fn preflight(&self) -> Result<(), CastanetError> {
-        let mut findings = preflight_checks(&self.net, &self.sync, self.cell_type, self.iface);
-        findings.extend(self.follower.structural_preflight());
+        let (net, sync, iface) = (&self.net, &self.side.sync, self.iface);
+        let mut findings = Vec::new();
+        if sync.type_count() == 0 {
+            findings.push(
+                "CAST001: no message types registered with the synchronizer; \
+                 the follower can never be granted simulation time"
+                    .to_string(),
+            );
+        }
+        if sync.type_delta(self.cell_type).is_none() {
+            findings.push(format!(
+                "CAST003: coupling cell type {} is not registered with the synchronizer",
+                self.cell_type.0
+            ));
+        }
+        if !sync.grant_horizon_monotone() {
+            findings.push(
+                "CAST010: grant-horizon monotonicity predicate violated on the \
+                 assembled synchronizer"
+                    .to_string(),
+            );
+        }
+        if iface.index() >= net.module_count() {
+            findings.push(format!(
+                "CAST040: interface module id {} does not exist in the kernel \
+                 ({} modules registered)",
+                iface.index(),
+                net.module_count()
+            ));
+        } else {
+            for (_, _, dst, dst_port) in net.connection_edges() {
+                if dst == iface && dst_port.0 >= RESPONSE_PORT_BASE {
+                    findings.push(format!(
+                        "CAST021: interface input port {} collides with the response \
+                         injection namespace (RESPONSE_PORT_BASE = {RESPONSE_PORT_BASE})",
+                        dst_port.0
+                    ));
+                }
+            }
+        }
+        findings.extend(self.side.follower.structural_preflight());
         if findings.is_empty() {
             Ok(())
         } else {
@@ -502,7 +635,7 @@ impl<S: CoupledSimulator> Coupling<S> {
     /// consecutive chunks without any response the run is complete. The
     /// defaults (50 µs × 2) tolerate DUT pipelines that stay silent for up
     /// to ~100 µs of simulated time; raise them for deeper pipelines or
-    /// slower DUT clocks.
+    /// slower DUT clocks. Both executors drain by this rule.
     ///
     /// # Panics
     ///
@@ -537,18 +670,13 @@ impl<S: CoupledSimulator> Coupling<S> {
             let horizon = match t_net {
                 Some(t) => t,
                 None => drain_horizon(
-                    self.promised,
-                    self.follower.now().max(self.net.now()),
+                    self.side.promised,
+                    self.side.follower.now().max(self.net.now()),
                     self.drain_quantum,
                     until,
                 ),
             };
-
-            // Time update: the originator promises no stimulus before
-            // `horizon`. Promises only ever grow (see `promised`).
-            if horizon > self.promised {
-                self.sync.receive(self.cell_type, horizon, true)?;
-                self.promised = horizon;
+            if self.side.promise(self.cell_type, horizon)? {
                 self.tel.record(
                     Track::Originator,
                     self.net.now().as_picos(),
@@ -558,32 +686,10 @@ impl<S: CoupledSimulator> Coupling<S> {
                     },
                 );
             }
-            let advance_start = if self.tel.trace_active() {
-                self.tel.now_ns()
-            } else {
-                0
-            };
-            let responses = self.follower.advance_until(horizon)?;
-            // Response-bearing advances always record; empty ones are
-            // per-iteration plumbing (most loop turns return nothing) and
-            // are thinned to the micro-sample stride — two clock reads per
-            // otherwise-idle turn is what used to dominate the full-trace
-            // overhead budget.
-            if !responses.is_empty() || self.tel.micro_gate() {
-                self.tel.record_span(
-                    Track::Follower,
-                    horizon.as_picos(),
-                    advance_start,
-                    EventKind::FollowerAdvance {
-                        granted_ps: horizon.as_picos(),
-                        responses: responses.len() as u64,
-                    },
-                );
-            }
-            let local = self.follower.now().max(self.sync.local_time());
-            if local <= self.sync.grant() {
-                self.sync.advance_local(local)?;
-            }
+            let responses = self
+                .side
+                .advance(horizon, &self.tel, true, |f| f.advance_until(horizon))?;
+            self.side.settle()?;
 
             let had_responses = !responses.is_empty();
             let injected = self.inject(responses)?;
@@ -595,7 +701,7 @@ impl<S: CoupledSimulator> Coupling<S> {
             }
             if t_net.is_none() {
                 quiet_chunks += 1;
-                if quiet_chunks >= self.drain_quiet_chunks || self.follower.now() >= until {
+                if quiet_chunks >= self.drain_quiet_chunks || self.side.follower.now() >= until {
                     break;
                 }
             } else {
@@ -604,20 +710,10 @@ impl<S: CoupledSimulator> Coupling<S> {
                 let mut pump = std::mem::take(&mut self.outbox_scratch);
                 self.outbox.drain_into(&mut pump);
                 for msg in pump.drain(..) {
-                    self.sync.receive(msg.type_id, msg.stamp, false)?;
-                    self.tel.record(
-                        Track::Originator,
-                        msg.stamp.as_picos(),
-                        EventKind::StimulusEnqueued {
-                            type_id: msg.type_id.0,
-                            port: msg.port as u32,
-                            stamp_ps: msg.stamp.as_picos(),
-                        },
-                    );
                     // The follower consumes the message immediately (it
-                    // is covered by the next grant); mirror that in the
-                    // protocol bookkeeping.
-                    self.follower.deliver(msg)?;
+                    // is covered by the next grant).
+                    self.side.enqueue(&msg, &self.tel, Track::Originator)?;
+                    self.side.follower.deliver(msg)?;
                     self.stats.messages_to_follower += 1;
                 }
                 self.outbox_scratch = pump;
@@ -647,19 +743,19 @@ impl<S: CoupledSimulator> Coupling<S> {
     /// The follower (e.g. for RTL counters after the run).
     #[must_use]
     pub fn follower(&self) -> &S {
-        &self.follower
+        &self.side.follower
     }
 
     /// Mutable follower access — e.g. to read back DUT registers through
     /// pin pokes once the coupled run has finished.
     pub fn follower_mut(&mut self) -> &mut S {
-        &mut self.follower
+        &mut self.side.follower
     }
 
     /// The conservative synchronizer (e.g. for static pre-flight analysis).
     #[must_use]
     pub fn sync(&self) -> &ConservativeSync {
-        &self.sync
+        &self.side.sync
     }
 
     /// The interface process's module id inside the network kernel.
@@ -683,12 +779,12 @@ impl<S: CoupledSimulator> Coupling<S> {
     /// Synchronization-protocol statistics.
     #[must_use]
     pub fn sync_stats(&self) -> SyncStats {
-        self.sync.stats()
+        self.side.sync.stats()
     }
 
-    /// A clone of the interface outbox handle — lets callers (and the
-    /// parallel executor) observe stimulus crossing the abstraction
-    /// interface without dismantling the coupling.
+    /// A clone of the interface outbox handle — lets callers observe
+    /// stimulus crossing the abstraction interface without dismantling the
+    /// coupling.
     #[must_use]
     pub fn outbox(&self) -> OutboxHandle {
         self.outbox.clone()
@@ -697,29 +793,7 @@ impl<S: CoupledSimulator> Coupling<S> {
     /// Dismantles the coupling, returning the network kernel and follower.
     #[must_use]
     pub fn into_parts(self) -> (Kernel, S) {
-        (self.net, self.follower)
-    }
-
-    /// Re-hosts this (not-yet-run) coupling on the parallel executor,
-    /// preserving the drain and strict-mode settings. Batching parameters
-    /// take the parallel defaults; tune with
-    /// [`ParallelCoupling::with_batching`].
-    #[must_use]
-    pub fn into_parallel(self) -> ParallelCoupling<S>
-    where
-        S: Send,
-    {
-        ParallelCoupling::new(
-            self.net,
-            self.follower,
-            self.sync,
-            self.cell_type,
-            self.iface,
-            self.outbox,
-        )
-        .with_drain(self.drain_quantum, self.drain_quiet_chunks)
-        .with_strict(self.strict)
-        .with_telemetry(&self.tel)
+        (self.net, self.side.follower)
     }
 }
 
@@ -737,59 +811,6 @@ pub(crate) fn drain_horizon(
     until: SimTime,
 ) -> SimTime {
     (promised.max(local) + quantum).min(until)
-}
-
-/// The error-level static checks shared by [`Coupling::preflight`] and
-/// [`crate::parallel::ParallelCoupling::preflight`] — see the method docs
-/// for the finding catalogue. Returns the findings (empty = pass) so the
-/// callers can append follower-specific checks before deciding the
-/// verdict.
-pub(crate) fn preflight_checks(
-    net: &Kernel,
-    sync: &ConservativeSync,
-    cell_type: MessageTypeId,
-    iface: ModuleId,
-) -> Vec<String> {
-    let mut findings = Vec::new();
-    if sync.type_count() == 0 {
-        findings.push(
-            "CAST001: no message types registered with the synchronizer; \
-             the follower can never be granted simulation time"
-                .to_string(),
-        );
-    }
-    if sync.type_delta(cell_type).is_none() {
-        findings.push(format!(
-            "CAST003: coupling cell type {} is not registered with the synchronizer",
-            cell_type.0
-        ));
-    }
-    if !sync.grant_horizon_monotone() {
-        findings.push(
-            "CAST010: grant-horizon monotonicity predicate violated on the \
-             assembled synchronizer"
-                .to_string(),
-        );
-    }
-    if iface.index() >= net.module_count() {
-        findings.push(format!(
-            "CAST040: interface module id {} does not exist in the kernel \
-             ({} modules registered)",
-            iface.index(),
-            net.module_count()
-        ));
-    } else {
-        for (_, _, dst, dst_port) in net.connection_edges() {
-            if dst == iface && dst_port.0 >= RESPONSE_PORT_BASE {
-                findings.push(format!(
-                    "CAST021: interface input port {} collides with the response \
-                     injection namespace (RESPONSE_PORT_BASE = {RESPONSE_PORT_BASE})",
-                    dst_port.0
-                ));
-            }
-        }
-    }
-    findings
 }
 
 #[cfg(test)]

@@ -4,7 +4,11 @@
 //! The serial [`Coupling`](crate::coupling::Coupling) interleaves both
 //! simulators on one thread, so §3.1's protocol — designed so the HDL side
 //! can run *while* the network side keeps going — is never exercised as
-//! actual parallelism. This module is the concurrent executive:
+//! actual parallelism. This module is the concurrent schedule of the same
+//! coupling: [`ParallelCoupling`] wraps a [`Coupling`] and adds only the
+//! pipeline settings, and its follower thread takes the follower-side
+//! protocol steps (promise, stimulus enqueue, advance, settle) through the
+//! very methods the serial loop calls. What differs is the schedule:
 //!
 //! * the **network kernel stays on the calling thread** (it owns the
 //!   interface outbox, which is deliberately thread-local);
@@ -12,10 +16,13 @@
 //!   thread**; they receive *timing windows* — the per-message-type input
 //!   queue contents `I_j` plus a grant horizon — through a preallocated
 //!   [`SpscRing`] of command slots and answer through a second ring of
-//!   reply slots. Slot payloads are `mem::swap`ped in and out, so the
-//!   steady state moves **no allocations across the thread boundary**,
-//!   and a side that cannot make progress spins briefly and then parks
-//!   (see the [`ring`](crate::ring) module docs for the slot protocol);
+//!   reply slots. Stimulus buffers are `mem::swap`ped in and out of the
+//!   command slots, so their capacity circulates and the command path
+//!   allocates nothing once warm; a window's responses travel back in a
+//!   `Vec` the follower allocates and the originator frees after
+//!   injecting them (empty replies allocate nothing). A side that cannot
+//!   make progress spins briefly and then parks (see the
+//!   [`ring`](crate::ring) module docs for the slot protocol);
 //! * **cell batching** amortizes the ~1:400 cell-to-clock time-scale gap:
 //!   instead of one rendezvous per network event, the originator executes a
 //!   whole window of events, drains the abstraction interface once, and
@@ -58,7 +65,7 @@
 //! happened to interleave the two threads.
 
 use crate::coupling::{
-    drain_horizon, inject_responses, preflight_checks, CoupledSimulator, CouplingStats,
+    drain_horizon, inject_responses, CoupledSimulator, Coupling, CouplingStats, FollowerSide,
     SyncCounters,
 };
 use crate::error::CastanetError;
@@ -208,27 +215,15 @@ struct RepEntry {
     error: Option<CastanetError>,
 }
 
-/// The parallel coupling executive — same API shape as
-/// [`Coupling`](crate::coupling::Coupling), but [`ParallelCoupling::run`]
-/// executes the two engines concurrently.
+/// The parallel coupling executive: a [`Coupling`] run on two threads.
+/// The coupling keeps its network, follower side, drain, strict-mode and
+/// telemetry settings; this wrapper adds only the pipeline's own settings,
+/// and [`ParallelCoupling::run`] executes the two engines concurrently.
 ///
-/// Construction recipe is identical to the serial coupling; an existing
-/// serial coupling converts with
-/// [`Coupling::into_parallel`](crate::coupling::Coupling::into_parallel).
+/// Build one with [`Coupling::into_parallel`] (or
+/// [`ParallelCoupling::new`], which takes [`Coupling::new`]'s arguments).
 pub struct ParallelCoupling<S: CoupledSimulator + Send> {
-    net: Kernel,
-    follower: S,
-    sync: ConservativeSync,
-    cell_type: MessageTypeId,
-    outbox: OutboxHandle,
-    iface: ModuleId,
-    stats: CouplingStats,
-    /// Largest grant promised to the follower; promises are monotone (see
-    /// the serial coupling's field of the same name).
-    promised: SimTime,
-    drain_quantum: SimDuration,
-    drain_quiet_chunks: u32,
-    strict: bool,
+    coupling: Coupling<S>,
     /// Simulated-time length of one batched timing window: the
     /// [`AdaptiveWindow`] controller's base, and the time-warp
     /// speculation lookahead.
@@ -238,26 +233,38 @@ pub struct ParallelCoupling<S: CoupledSimulator + Send> {
     /// lag).
     channel_depth: usize,
     exec_mode: ExecMode,
-    /// Telemetry handle; disabled (all recording a no-op) by default.
-    tel: Telemetry,
 }
 
 impl<S: CoupledSimulator + Send> std::fmt::Debug for ParallelCoupling<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelCoupling")
-            .field("net_now", &self.net.now())
-            .field("follower_now", &self.follower.now())
+            .field("coupling", &self.coupling)
             .field("batch_window", &self.batch_window)
             .field("channel_depth", &self.channel_depth)
             .field("exec_mode", &self.exec_mode)
-            .field("stats", &self.stats)
             .finish()
     }
 }
 
+impl<S: CoupledSimulator + Send> Coupling<S> {
+    /// Re-hosts this (not-yet-run) coupling on the parallel executor,
+    /// keeping its drain, strict-mode and telemetry settings. Batching
+    /// takes the parallel defaults (100 µs windows, 4 in flight); tune
+    /// with [`ParallelCoupling::with_batching`].
+    #[must_use]
+    pub fn into_parallel(self) -> ParallelCoupling<S> {
+        ParallelCoupling {
+            coupling: self,
+            batch_window: SimDuration::from_us(100),
+            channel_depth: 4,
+            exec_mode: ExecMode::Conservative,
+        }
+    }
+}
+
 impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
-    /// Assembles a parallel coupling. Arguments are identical to
-    /// [`Coupling::new`](crate::coupling::Coupling::new).
+    /// Assembles a parallel coupling: [`Coupling::new`] then
+    /// [`Coupling::into_parallel`].
     #[must_use]
     pub fn new(
         net: Kernel,
@@ -267,90 +274,28 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         iface: ModuleId,
         outbox: OutboxHandle,
     ) -> Self {
-        ParallelCoupling {
-            net,
-            follower,
-            sync,
-            cell_type,
-            outbox,
-            iface,
-            stats: CouplingStats::default(),
-            promised: SimTime::ZERO,
-            drain_quantum: SimDuration::from_us(50),
-            drain_quiet_chunks: 2,
-            strict: false,
-            batch_window: SimDuration::from_us(100),
-            channel_depth: 4,
-            exec_mode: ExecMode::Conservative,
-            tel: Telemetry::disabled(),
-        }
+        Coupling::new(net, follower, sync, cell_type, iface, outbox).into_parallel()
     }
 
     /// Attaches a telemetry handle to every layer — as
-    /// [`Coupling::with_telemetry`](crate::coupling::Coupling::with_telemetry),
-    /// plus the executor's own transport metrics: `channel.in_flight`
-    /// occupancy, `channel.grant_latency_ns`, `channel.window_msgs`,
-    /// `channel.backpressure_stalls`, the ring gauges
-    /// `ring.grant_width_ps` / `ring.cmd_occupancy` and the park counters
-    /// `ring.originator_parks` / `ring.follower_parks` (plus
+    /// [`Coupling::with_telemetry`], plus the executor's own transport
+    /// metrics: `channel.in_flight` occupancy, `channel.grant_latency_ns`,
+    /// `channel.window_msgs`, `channel.backpressure_stalls`, the ring
+    /// gauges `ring.grant_width_ps` / `ring.cmd_occupancy` and the park
+    /// counters `ring.originator_parks` / `ring.follower_parks` (plus
     /// `timewarp.commits` / `timewarp.rollbacks` under
     /// [`ExecMode::TimeWarp`]). Both threads record into the shared trace
     /// sink, each on its own track.
     #[must_use]
     pub fn with_telemetry(mut self, tel: &Telemetry) -> Self {
-        self.tel = tel.clone();
-        self.net.set_telemetry(tel);
-        self.sync.set_telemetry(tel);
-        self.follower.set_telemetry(tel);
+        self.coupling = self.coupling.with_telemetry(tel);
         self
-    }
-
-    /// The attached telemetry handle (disabled unless
-    /// [`ParallelCoupling::with_telemetry`] was called).
-    #[must_use]
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.tel
-    }
-
-    /// Enables (or disables) strict mode — as
-    /// [`Coupling::with_strict`](crate::coupling::Coupling::with_strict).
-    #[must_use]
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
-        self
-    }
-
-    /// Whether strict pre-flight mode is enabled.
-    #[must_use]
-    pub fn strict(&self) -> bool {
-        self.strict
     }
 
     /// Selects the execution mode (conservative by default).
     #[must_use]
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
-        self
-    }
-
-    /// The configured execution mode.
-    #[must_use]
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Tunes the final drain — as
-    /// [`Coupling::with_drain`](crate::coupling::Coupling::with_drain).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `quantum` is zero or `quiet_chunks` is zero.
-    #[must_use]
-    pub fn with_drain(mut self, quantum: SimDuration, quiet_chunks: u32) -> Self {
-        assert!(!quantum.is_zero(), "drain quantum must be non-zero");
-        assert!(quiet_chunks > 0, "need at least one quiet chunk");
-        self.drain_quantum = quantum;
-        self.drain_quiet_chunks = quiet_chunks;
         self
     }
 
@@ -372,22 +317,13 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         self
     }
 
-    /// Static pre-flight verification — the same error-level checks as
-    /// [`Coupling::preflight`](crate::coupling::Coupling::preflight),
-    /// including the follower's own
-    /// [`structural_preflight`](CoupledSimulator::structural_preflight).
+    /// Static pre-flight verification: [`Coupling::preflight`].
     ///
     /// # Errors
     ///
     /// Returns [`CastanetError::Preflight`] listing every finding.
     pub fn preflight(&self) -> Result<(), CastanetError> {
-        let mut findings = preflight_checks(&self.net, &self.sync, self.cell_type, self.iface);
-        findings.extend(self.follower.structural_preflight());
-        if findings.is_empty() {
-            Ok(())
-        } else {
-            Err(CastanetError::Preflight(findings))
-        }
+        self.coupling.preflight()
     }
 
     /// Runs the coupled simulation until no activity remains before
@@ -400,66 +336,70 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
     /// [`ExecMode::TimeWarp`] is selected but the follower's
     /// [`CoupledSimulator::fork`] returns `None`.
     pub fn run(&mut self, until: SimTime) -> Result<CouplingStats, CastanetError> {
-        if self.strict {
-            self.preflight()?;
+        let c = &mut self.coupling;
+        if c.strict {
+            c.preflight()?;
         }
-        if self.exec_mode == ExecMode::TimeWarp && self.follower.fork().is_none() {
+        let exec_mode = self.exec_mode;
+        if exec_mode == ExecMode::TimeWarp && c.side.follower.fork().is_none() {
             return Err(CastanetError::Transport(
                 "ExecMode::TimeWarp needs a checkpointable follower \
                  (CoupledSimulator::fork returned None)"
                     .into(),
             ));
         }
-        let batch_window = self.batch_window;
-        let channel_depth = self.channel_depth;
-        let drain_quantum = self.drain_quantum;
-        let drain_quiet_chunks = self.drain_quiet_chunks;
-        let cell_type = self.cell_type;
-        let iface = self.iface;
-        let exec_mode = self.exec_mode;
-        // δ_j headroom for the adaptive controller, read before the &mut
-        // borrows below freeze `self`.
-        let headroom = self.sync.type_delta(cell_type).unwrap_or(SimDuration::ZERO);
-        let mut window_ctl = AdaptiveWindow::new(batch_window, headroom);
-        let net = &mut self.net;
-        let stats = &mut self.stats;
-        let outbox = &self.outbox;
-        let follower = &mut self.follower;
-        let sync = &mut self.sync;
-        let promised = &mut self.promised;
-        let follower_tel = self.tel.clone();
-        // Separate handle for the originator's phase spans: `SpanGuard`
-        // borrows its `Telemetry`, and borrowing it out of `obs` would
-        // freeze the `&mut obs` every reply needs.
-        let phase_tel = self.tel.clone();
-        let mut obs = OriginatorObs::new(&self.tel);
+        // δ_j headroom for the adaptive controller.
+        let headroom = c.side.sync.type_delta(c.cell_type).unwrap_or_default();
+        let mut window_ctl = AdaptiveWindow::new(self.batch_window, headroom);
+        let spec_window = self.batch_window;
+        let (cell_type, drain) = (c.cell_type, (c.drain_quantum, c.drain_quiet_chunks));
+        // The follower thread borrows the follower side; the originator
+        // keeps the network half.
+        let Coupling {
+            net,
+            side,
+            outbox,
+            iface,
+            stats,
+            tel,
+            sync_counters,
+            ..
+        } = c;
+        let tel: &Telemetry = tel;
 
-        let mut cmd_ring = SpscRing::<CmdEntry>::new(channel_depth);
+        let mut cmd_ring = SpscRing::<CmdEntry>::new(self.channel_depth);
         // One reply per in-flight window plus headroom, so the follower
         // can always post a DrainDone or Fatal without waiting on the
         // originator.
-        let mut rep_ring = SpscRing::<RepEntry>::new(channel_depth + 2);
+        let mut rep_ring = SpscRing::<RepEntry>::new(self.channel_depth + 2);
         let run_result = {
-            let (mut cmd_tx, cmd_rx) = cmd_ring.split();
-            let (rep_tx, mut rep_rx) = rep_ring.split();
+            let (cmd_tx, mut cmd_rx) = cmd_ring.split();
+            let (mut rep_tx, rep_rx) = rep_ring.split();
+            let mut org = Originator {
+                net,
+                stats,
+                outbox,
+                iface: *iface,
+                obs: OriginatorObs::new(tel, sync_counters),
+                cmd_tx,
+                rep_rx,
+                reply_buf: Vec::new(),
+                in_flight: 0,
+            };
             std::thread::scope(|scope| -> Result<(), CastanetError> {
                 scope.spawn(move || {
-                    let mut cmd_rx = cmd_rx;
-                    let mut rep_tx = rep_tx;
                     // Close the rings even if the worker panics (debug
                     // asserts), or the originator blocks forever on a
                     // reply that will never come.
                     let worker = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         follower_worker(
-                            follower,
-                            sync,
-                            promised,
+                            side,
                             cell_type,
                             exec_mode,
-                            batch_window,
+                            spec_window,
                             &mut cmd_rx,
                             &mut rep_tx,
-                            &follower_tel,
+                            tel,
                         );
                     }));
                     rep_tx.close();
@@ -469,26 +409,13 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
                     }
                 });
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    originator_loop(
-                        &mut cmd_tx,
-                        &mut rep_rx,
-                        net,
-                        stats,
-                        outbox,
-                        iface,
-                        until,
-                        &mut window_ctl,
-                        drain_quantum,
-                        drain_quiet_chunks,
-                        &phase_tel,
-                        &mut obs,
-                    )
+                    org.run(until, &mut window_ctl, drain)
                 }));
                 // Closing both rings (on success, error, *and* unwind)
                 // wakes a parked follower so the scope's implicit join
                 // returns.
-                cmd_tx.close();
-                rep_rx.close();
+                org.cmd_tx.close();
+                org.rep_rx.close();
                 match result {
                     Ok(r) => r,
                     Err(panic) => std::panic::resume_unwind(panic),
@@ -497,515 +424,432 @@ impl<S: CoupledSimulator + Send> ParallelCoupling<S> {
         };
         let cmd_waits = cmd_ring.wait_stats();
         let rep_waits = rep_ring.wait_stats();
-        self.tel
-            .counter("ring.originator_parks")
+        tel.counter("ring.originator_parks")
             .add(cmd_waits.producer_parks + rep_waits.consumer_parks);
-        self.tel
-            .counter("ring.follower_parks")
+        tel.counter("ring.follower_parks")
             .add(cmd_waits.consumer_parks + rep_waits.producer_parks);
         run_result?;
-        Ok(self.stats)
-    }
-
-    /// The network kernel (e.g. for statistics after the run).
-    #[must_use]
-    pub fn net(&self) -> &Kernel {
-        &self.net
+        Ok(self.coupling.stats)
     }
 
     /// The follower (e.g. for RTL counters after the run).
     #[must_use]
     pub fn follower(&self) -> &S {
-        &self.follower
-    }
-
-    /// Mutable follower access.
-    pub fn follower_mut(&mut self) -> &mut S {
-        &mut self.follower
+        self.coupling.follower()
     }
 
     /// The conservative synchronizer.
     #[must_use]
     pub fn sync(&self) -> &ConservativeSync {
-        &self.sync
+        self.coupling.sync()
     }
 
     /// The interface process's module id inside the network kernel.
     #[must_use]
     pub fn iface_module(&self) -> ModuleId {
-        self.iface
+        self.coupling.iface_module()
     }
 
     /// The message type stimulus cells are sent as.
     #[must_use]
     pub fn cell_type(&self) -> MessageTypeId {
-        self.cell_type
+        self.coupling.cell_type()
     }
 
     /// Coupling counters.
     #[must_use]
     pub fn stats(&self) -> CouplingStats {
-        self.stats
+        self.coupling.stats()
     }
 
     /// Synchronization-protocol statistics.
     #[must_use]
     pub fn sync_stats(&self) -> SyncStats {
-        self.sync.stats()
+        self.coupling.sync_stats()
     }
 
     /// A clone of the interface outbox handle.
     #[must_use]
     pub fn outbox(&self) -> OutboxHandle {
-        self.outbox.clone()
+        self.coupling.outbox()
     }
 
     /// Dismantles the coupling, returning the network kernel and follower.
     #[must_use]
     pub fn into_parts(self) -> (Kernel, S) {
-        (self.net, self.follower)
+        self.coupling.into_parts()
     }
 }
 
-/// The originator's three-phase loop: stream timing windows, barrier on
-/// outstanding replies, drain the follower's pipeline. Factored out of
-/// [`ParallelCoupling::run`] so every early return funnels through the
-/// ring-closing epilogue there.
-///
-/// Replies are absorbed only at deterministic points — one blocking pop
-/// when the pipeline is full, the rest at the barrier — because the
-/// absorption point fixes the network time deferred responses are
-/// injected at (see the module docs on reproducibility).
-#[allow(clippy::too_many_arguments)]
-fn originator_loop(
-    cmd_tx: &mut RingProducer<'_, CmdEntry>,
-    rep_rx: &mut RingConsumer<'_, RepEntry>,
-    net: &mut Kernel,
-    stats: &mut CouplingStats,
-    outbox: &OutboxHandle,
+/// The originator thread of one parallel run: the coupling's network half,
+/// borrowed for the run, with the rings' originator ends.
+struct Originator<'c, 'r> {
+    net: &'c mut Kernel,
+    stats: &'c mut CouplingStats,
+    outbox: &'c OutboxHandle,
     iface: ModuleId,
-    until: SimTime,
-    window_ctl: &mut AdaptiveWindow,
-    drain_quantum: SimDuration,
-    drain_quiet_chunks: u32,
-    phase_tel: &Telemetry,
-    obs: &mut OriginatorObs,
-) -> Result<(), CastanetError> {
-    // Producer-side stimulus scratch: swapped into command slots, slot
-    // leftovers swap back out, so capacities circulate across the ring.
-    let mut scratch: Vec<Message> = Vec::new();
-    // Consumer-side reply scratch, same circulation on the reply ring.
-    let mut reply_buf: Vec<Message> = Vec::new();
-    // Windows sent but not yet answered.
-    let mut in_flight = 0usize;
-    // Stimulus delivered as of the last completed drain: if no new
-    // message reached the follower since, its pipeline is untouched
-    // and provably still quiet — re-draining would only burn
-    // simulated (and wall-clock) time on an idle DUT.
-    let mut drained_at: Option<u64> = None;
-    // Originator-side mirror of the largest grant shipped this run;
-    // windows that carry neither stimulus nor a new grant are
-    // no-ops on the follower and need not rendezvous at all.
-    let mut sent_grant = SimTime::ZERO;
-    loop {
-        // ---- phase 1: stream timing windows -------------------
-        let mut grant_span = phase_tel.span(
-            Track::Originator,
-            net.now().as_picos(),
-            Phase::ParallelGrant,
-        );
-        while let Some(t0) = net.next_event_time().filter(|t| *t < until) {
-            let width = window_ctl.observe(in_flight, cmd_tx.capacity());
-            obs.grant_width.set(width.as_picos());
-            let w = until.min(t0 + width);
-            let window_start = obs.tel.now_ns();
-            let executed = net.run_grant_window(w)?;
-            stats.net_events += executed;
-            obs.tel.record_span(
+    obs: OriginatorObs<'c>,
+    cmd_tx: RingProducer<'r, CmdEntry>,
+    rep_rx: RingConsumer<'r, RepEntry>,
+    /// The last popped reply's responses, until `handle_reply` hands
+    /// them to the injection path.
+    reply_buf: Vec<Message>,
+    /// Windows sent but not yet answered.
+    in_flight: usize,
+}
+
+impl Originator<'_, '_> {
+    /// The three-phase loop: stream timing windows, barrier on outstanding
+    /// replies, drain the follower's pipeline. Every early return funnels
+    /// through the ring-closing epilogue in [`ParallelCoupling::run`].
+    ///
+    /// Replies are absorbed only at deterministic points — one blocking pop
+    /// when the pipeline is full, the rest at the barrier — because the
+    /// absorption point fixes the network time deferred responses are
+    /// injected at (see the module docs on reproducibility).
+    fn run(
+        &mut self,
+        until: SimTime,
+        window_ctl: &mut AdaptiveWindow,
+        (drain_quantum, drain_quiet_chunks): (SimDuration, u32),
+    ) -> Result<(), CastanetError> {
+        let tel = self.obs.tel;
+        // Producer-side stimulus scratch: swapped into command slots, slot
+        // leftovers swap back out, so capacities circulate across the ring.
+        let mut scratch: Vec<Message> = Vec::new();
+        // Stimulus delivered as of the last completed drain: if no new
+        // message reached the follower since, its pipeline is untouched
+        // and provably still quiet — re-draining would only burn
+        // simulated (and wall-clock) time on an idle DUT.
+        let mut drained_at: Option<u64> = None;
+        // Originator-side mirror of the largest grant shipped this run;
+        // windows that carry neither stimulus nor a new grant are
+        // no-ops on the follower and need not rendezvous at all.
+        let mut sent_grant = SimTime::ZERO;
+        loop {
+            // ---- phase 1: stream timing windows -------------------
+            let mut grant_span = tel.span(
                 Track::Originator,
-                w.as_picos(),
-                window_start,
-                EventKind::NetWindow { events: executed },
+                self.net.now().as_picos(),
+                Phase::ParallelGrant,
             );
-            debug_assert!(
-                scratch.is_empty(),
-                "originator stimulus scratch held {} leftover message(s) (first stamp {:?})",
-                scratch.len(),
-                scratch.first().map(|m| m.stamp)
-            );
-            outbox.drain_into(&mut scratch);
-            stats.messages_to_follower += scratch.len() as u64;
-            // Maximal-information grant: every event strictly before
-            // `w` has run, and source processes schedule their
-            // successors as they execute, so the next pending event
-            // bounds all future stimulus from below (injected
-            // response events are feedforward — they never produce
-            // stimulus). With nothing pending, promise only up to
-            // the executed front: granting the rest of the batch
-            // window would make the follower simulate an idle tail
-            // the drain phase handles far more cheaply.
-            let grant = match net.next_event_time() {
-                Some(t1) => w.max(t1.min(until)),
-                None => net.now().min(w),
-            };
-            if scratch.is_empty() && grant <= sent_grant {
-                continue;
-            }
-            sent_grant = sent_grant.max(grant);
-            // Deterministic absorption: replies are taken only at fixed
-            // pipeline positions — exactly one here when the pipeline is
-            // full, the rest at the phase-2 barrier — never
-            // opportunistically. Which window boundary a reply lands on
-            // decides the network time its deferred responses are
-            // injected at, so absorbing whenever a reply happens to be
-            // available would let wall-clock thread scheduling leak into
-            // simulated timestamps and break run-to-run reproducibility
-            // (replay traces assert bit- *and* cycle-exact responses).
-            if in_flight == cmd_tx.capacity() {
-                let stall_start = obs.tel.now_ns();
-                obs.stalls.inc();
-                let mut error = None;
-                match pop_reply_blocking(rep_rx, &mut reply_buf, &mut error) {
-                    Some(kind) => handle_reply(
-                        kind,
-                        &mut reply_buf,
-                        error,
-                        net,
-                        stats,
-                        iface,
-                        &mut in_flight,
-                        obs,
-                    )?,
-                    None => return Err(fatal_from(rep_rx, &mut reply_buf)),
-                }
-                obs.tel.record_span(
+            while let Some(t0) = self.net.next_event_time().filter(|t| *t < until) {
+                let width = window_ctl.observe(self.in_flight, self.cmd_tx.capacity());
+                self.obs.grant_width.set(width.as_picos());
+                let w = until.min(t0 + width);
+                let window_start = tel.now_ns();
+                let executed = self.net.run_grant_window(w)?;
+                self.stats.net_events += executed;
+                tel.record_span(
                     Track::Originator,
-                    net.now().as_picos(),
-                    stall_start,
-                    EventKind::BackpressureStall {
-                        in_flight: in_flight as u64,
+                    w.as_picos(),
+                    window_start,
+                    EventKind::NetWindow { events: executed },
+                );
+                debug_assert!(
+                    scratch.is_empty(),
+                    "originator stimulus scratch held {} leftover message(s) (first stamp {:?})",
+                    scratch.len(),
+                    scratch.first().map(|m| m.stamp)
+                );
+                self.outbox.drain_into(&mut scratch);
+                self.stats.messages_to_follower += scratch.len() as u64;
+                // Maximal-information grant: every event strictly before
+                // `w` has run, and source processes schedule their
+                // successors as they execute, so the next pending event
+                // bounds all future stimulus from below (injected
+                // response events are feedforward — they never produce
+                // stimulus). With nothing pending, promise only up to
+                // the executed front: granting the rest of the batch
+                // window would make the follower simulate an idle tail
+                // the drain phase handles far more cheaply.
+                let grant = match self.net.next_event_time() {
+                    Some(t1) => w.max(t1.min(until)),
+                    None => self.net.now().min(w),
+                };
+                if scratch.is_empty() && grant <= sent_grant {
+                    continue;
+                }
+                sent_grant = sent_grant.max(grant);
+                // Deterministic absorption: replies are taken only at fixed
+                // pipeline positions — exactly one here when the pipeline is
+                // full, the rest at the phase-2 barrier — never
+                // opportunistically. Which window boundary a reply lands on
+                // decides the network time its deferred responses are
+                // injected at, so absorbing whenever a reply happens to be
+                // available would let wall-clock thread scheduling leak into
+                // simulated timestamps and break run-to-run reproducibility
+                // (replay traces assert bit- *and* cycle-exact responses).
+                if self.in_flight == self.cmd_tx.capacity() {
+                    let stall_start = tel.now_ns();
+                    self.obs.stalls.inc();
+                    self.absorb_reply()?;
+                    tel.record_span(
+                        Track::Originator,
+                        self.net.now().as_picos(),
+                        stall_start,
+                        EventKind::BackpressureStall {
+                            in_flight: self.in_flight as u64,
+                        },
+                    );
+                }
+                self.obs.window_msgs.record(scratch.len() as u64);
+                tel.record(
+                    Track::Originator,
+                    self.net.now().as_picos(),
+                    EventKind::WindowGranted {
+                        grant_ps: grant.as_picos(),
+                        msgs: scratch.len() as u64,
                     },
                 );
-            }
-            obs.window_msgs.record(scratch.len() as u64);
-            obs.tel.record(
-                Track::Originator,
-                net.now().as_picos(),
-                EventKind::WindowGranted {
-                    grant_ps: grant.as_picos(),
-                    msgs: scratch.len() as u64,
-                },
-            );
-            push_cmd(
-                cmd_tx,
-                rep_rx,
-                &mut reply_buf,
-                net,
-                stats,
-                iface,
-                &mut in_flight,
-                obs,
-                |entry| {
+                self.push_cmd(|entry| {
                     entry.kind = CmdKind::Window;
                     entry.grant = grant;
                     std::mem::swap(&mut entry.msgs, &mut scratch);
-                },
-            )?;
-            in_flight += 1;
-            obs.occupancy.set(in_flight as u64);
-            obs.cmd_occupancy.set(cmd_tx.occupancy() as u64);
-            if obs.tel.is_enabled() {
-                obs.pending.push_back(obs.tel.now_ns());
-            }
-        }
-        // ---- phase 2: barrier — answer every window ------------
-        grant_span.set_t_ps(net.now().as_picos());
-        drop(grant_span);
-        {
-            let _wait_span =
-                phase_tel.span(Track::Originator, net.now().as_picos(), Phase::ParallelWait);
-            while in_flight > 0 {
-                let mut error = None;
-                match pop_reply_blocking(rep_rx, &mut reply_buf, &mut error) {
-                    Some(kind) => handle_reply(
-                        kind,
-                        &mut reply_buf,
-                        error,
-                        net,
-                        stats,
-                        iface,
-                        &mut in_flight,
-                        obs,
-                    )?,
-                    None => return Err(fatal_from(rep_rx, &mut reply_buf)),
+                })?;
+                self.in_flight += 1;
+                self.obs.occupancy.set(self.in_flight as u64);
+                self.obs.cmd_occupancy.set(self.cmd_tx.occupancy() as u64);
+                if tel.is_enabled() {
+                    self.obs.pending.push_back(tel.now_ns());
                 }
             }
-        }
-        if net.next_event_time().is_some_and(|t| t < until) {
-            // Injected responses created fresh network work.
-            continue;
-        }
-        // ---- phase 3: drain the follower's pipeline ------------
-        // The follower's state only changes when stimulus reaches
-        // it; a drain that found the pipeline quiet stays valid
-        // until the next delivery (responses injected after the
-        // drain only touch the network side).
-        if drained_at == Some(stats.messages_to_follower) {
-            return Ok(());
-        }
-        {
-            let _drain_span = phase_tel.span(
-                Track::Originator,
-                net.now().as_picos(),
-                Phase::ParallelDrain,
-            );
-            push_cmd(
-                cmd_tx,
-                rep_rx,
-                &mut reply_buf,
-                net,
-                stats,
-                iface,
-                &mut in_flight,
-                obs,
-                |entry| {
+            // ---- phase 2: barrier — answer every window ------------
+            grant_span.set_t_ps(self.net.now().as_picos());
+            drop(grant_span);
+            {
+                let _wait_span = tel.span(
+                    Track::Originator,
+                    self.net.now().as_picos(),
+                    Phase::ParallelWait,
+                );
+                while self.in_flight > 0 {
+                    self.absorb_reply()?;
+                }
+            }
+            if self.net.next_event_time().is_some_and(|t| t < until) {
+                // Injected responses created fresh network work.
+                continue;
+            }
+            // ---- phase 3: drain the follower's pipeline ------------
+            // The follower's state only changes when stimulus reaches
+            // it; a drain that found the pipeline quiet stays valid
+            // until the next delivery (responses injected after the
+            // drain only touch the network side).
+            if drained_at == Some(self.stats.messages_to_follower) {
+                return Ok(());
+            }
+            {
+                let _drain_span = tel.span(
+                    Track::Originator,
+                    self.net.now().as_picos(),
+                    Phase::ParallelDrain,
+                );
+                self.push_cmd(|entry| {
                     entry.kind = CmdKind::Drain;
                     entry.quantum = drain_quantum;
                     entry.quiet_chunks = drain_quiet_chunks;
                     entry.until = until;
                     entry.msgs.clear();
-                },
-            )?;
-            loop {
-                let mut error = None;
-                match pop_reply_blocking(rep_rx, &mut reply_buf, &mut error) {
-                    Some(RepKind::DrainDone) => break,
-                    Some(kind) => handle_reply(
-                        kind,
-                        &mut reply_buf,
-                        error,
-                        net,
-                        stats,
-                        iface,
-                        &mut in_flight,
-                        obs,
-                    )?,
-                    None => return Err(fatal_from(rep_rx, &mut reply_buf)),
-                }
+                })?;
+                while self.absorb_reply()? != RepKind::DrainDone {}
+            }
+            drained_at = Some(self.stats.messages_to_follower);
+            if self.net.next_event_time().is_none_or(|t| t >= until) {
+                return Ok(());
             }
         }
-        drained_at = Some(stats.messages_to_follower);
-        if net.next_event_time().is_none_or(|t| t >= until) {
+    }
+
+    /// Pops one reply into the reply scratch (swapping the slot's message
+    /// buffer out, leaving the scratch's old — cleared — buffer in).
+    /// Returns the reply kind, or `None` when the ring is currently empty.
+    fn take_reply(&mut self, error: &mut Option<CastanetError>) -> Option<RepKind> {
+        let mut kind = RepKind::Empty;
+        let msgs = &mut self.reply_buf;
+        msgs.clear();
+        *error = None;
+        let popped = self.rep_rx.try_pop_with(|entry| {
+            kind = entry.kind;
+            entry.kind = RepKind::Empty;
+            std::mem::swap(msgs, &mut entry.msgs);
+            *error = entry.error.take();
+        });
+        popped.then_some(kind)
+    }
+
+    /// Blocking reply pop: spin, then park, until a reply arrives or the
+    /// ring closes empty (`None` — the follower is gone).
+    fn pop_reply_blocking(&mut self, error: &mut Option<CastanetError>) -> Option<RepKind> {
+        let mut rounds = 0u32;
+        loop {
+            if let Some(kind) = self.take_reply(error) {
+                return Some(kind);
+            }
+            if self.rep_rx.is_closed() && !self.rep_rx.can_pop() {
+                return None;
+            }
+            spin_round();
+            rounds += 1;
+            if rounds >= spin_rounds() && !self.rep_rx.can_pop() {
+                self.rep_rx.park_while_empty();
+            }
+        }
+    }
+
+    /// Blocks for the next reply and handles it, returning its kind; a
+    /// follower that is gone surfaces as its fatal error.
+    fn absorb_reply(&mut self) -> Result<RepKind, CastanetError> {
+        let mut error = None;
+        let Some(kind) = self.pop_reply_blocking(&mut error) else {
+            return Err(self.fatal());
+        };
+        self.handle_reply(kind, error)?;
+        Ok(kind)
+    }
+
+    /// Reply handling: inject responses into the network model (through
+    /// the executor-shared [`inject_responses`] path, in pipelined mode),
+    /// settle window accounting.
+    fn handle_reply(
+        &mut self,
+        kind: RepKind,
+        error: Option<CastanetError>,
+    ) -> Result<(), CastanetError> {
+        match kind {
+            RepKind::Window | RepKind::Drained => {
+                if kind == RepKind::Window {
+                    self.in_flight = self.in_flight.saturating_sub(1);
+                    self.obs.occupancy.set(self.in_flight as u64);
+                    if let Some(sent_ns) = self.obs.pending.pop_front() {
+                        self.obs
+                            .grant_latency
+                            .record(self.obs.tel.now_ns().saturating_sub(sent_ns));
+                    }
+                }
+                inject_responses(
+                    self.net,
+                    self.stats,
+                    self.iface,
+                    std::mem::take(&mut self.reply_buf),
+                    true,
+                    self.obs.tel,
+                    self.obs.sync_counters,
+                )
+                .map(|_| ())
+            }
+            RepKind::Fatal => Err(fatal_error(error)),
+            RepKind::DrainDone | RepKind::Empty => Ok(()),
+        }
+    }
+
+    /// Blocking command push. On a full ring the originator first absorbs
+    /// any queued replies (freeing the follower to make progress — this is
+    /// what makes the two blocking pushes deadlock-free), then spins, then
+    /// parks. `fill` is invoked exactly once, on the successful push.
+    ///
+    /// Under the stream loop's pipeline discipline (`in_flight` is held
+    /// strictly below the command-ring capacity before every push, and
+    /// ring occupancy never exceeds `in_flight`) the full-ring path cannot
+    /// engage; it remains as the deadlock-free backstop for any other call
+    /// pattern.
+    fn push_cmd(&mut self, mut fill: impl FnMut(&mut CmdEntry)) -> Result<(), CastanetError> {
+        if self.cmd_tx.try_push_with(&mut fill) {
             return Ok(());
         }
+        // The follower is the bottleneck: every pipeline slot is taken.
+        // Record the blocked push as a stall span on the originator's track.
+        let stall_start = self.obs.tel.now_ns();
+        self.obs.stalls.inc();
+        let mut rounds = 0u32;
+        loop {
+            if self.cmd_tx.is_closed() {
+                return Err(self.fatal());
+            }
+            let mut progressed = false;
+            loop {
+                let mut error = None;
+                let Some(kind) = self.take_reply(&mut error) else {
+                    break;
+                };
+                self.handle_reply(kind, error)?;
+                progressed = true;
+            }
+            if self.cmd_tx.try_push_with(&mut fill) {
+                break;
+            }
+            if progressed {
+                rounds = 0;
+                continue;
+            }
+            spin_round();
+            rounds += 1;
+            if rounds >= spin_rounds() && !self.cmd_tx.can_push() {
+                self.cmd_tx.park_while_full();
+            }
+        }
+        self.obs.tel.record_span(
+            Track::Originator,
+            self.net.now().as_picos(),
+            stall_start,
+            EventKind::BackpressureStall {
+                in_flight: self.in_flight as u64,
+            },
+        );
+        Ok(())
+    }
+
+    /// Scans the reply ring for the fatal error that made the follower
+    /// thread exit; falls back to a transport error if none surfaced.
+    fn fatal(&mut self) -> CastanetError {
+        let mut error = None;
+        while let Some(kind) = self.pop_reply_blocking(&mut error) {
+            if kind == RepKind::Fatal {
+                return fatal_error(error);
+            }
+        }
+        CastanetError::Transport("parallel follower thread terminated unexpectedly".into())
     }
 }
 
-/// Originator-side observation state: cached metric handles plus the send
-/// wall-times of windows still in flight (for the grant-latency histogram).
-/// All handles are no-ops when the telemetry is disabled, and `pending`
-/// stays empty then, so the disabled path costs one branch per use.
-struct OriginatorObs {
-    tel: Telemetry,
+/// The error a `Fatal` reply carried (a transport error if it carried none).
+fn fatal_error(error: Option<CastanetError>) -> CastanetError {
+    error.unwrap_or_else(|| {
+        CastanetError::Transport("parallel follower reported an unspecified fatal error".into())
+    })
+}
+
+/// Originator-side observation state: cached metric handles (the `sync.*`
+/// counters are the coupling's own) plus the send wall-times of windows
+/// still in flight (for the grant-latency histogram). All handles are
+/// no-ops when the telemetry is disabled, and `pending` stays empty then,
+/// so the disabled path costs one branch per use.
+struct OriginatorObs<'c> {
+    tel: &'c Telemetry,
+    sync_counters: &'c SyncCounters,
     occupancy: Gauge,
     grant_latency: Histogram,
     window_msgs: Histogram,
     stalls: Counter,
     grant_width: Gauge,
     cmd_occupancy: Gauge,
-    sync_counters: SyncCounters,
     pending: VecDeque<u64>,
 }
 
-impl OriginatorObs {
-    fn new(tel: &Telemetry) -> Self {
+impl<'c> OriginatorObs<'c> {
+    fn new(tel: &'c Telemetry, sync_counters: &'c SyncCounters) -> Self {
         OriginatorObs {
-            tel: tel.clone(),
+            tel,
+            sync_counters,
             occupancy: tel.gauge("channel.in_flight"),
             grant_latency: tel.histogram("channel.grant_latency_ns"),
             window_msgs: tel.histogram("channel.window_msgs"),
             stalls: tel.counter("channel.backpressure_stalls"),
             grant_width: tel.gauge("ring.grant_width_ps"),
             cmd_occupancy: tel.gauge("ring.cmd_occupancy"),
-            sync_counters: SyncCounters::new(tel),
             pending: VecDeque::new(),
         }
     }
-}
-
-/// Pops one reply into the caller's scratch buffers (swapping the slot's
-/// message buffer out, leaving the scratch's old — cleared — buffer in).
-/// Returns the reply kind, or `None` when the ring is currently empty.
-fn take_reply(
-    rep_rx: &mut RingConsumer<'_, RepEntry>,
-    msgs: &mut Vec<Message>,
-    error: &mut Option<CastanetError>,
-) -> Option<RepKind> {
-    let mut kind = RepKind::Empty;
-    msgs.clear();
-    *error = None;
-    let popped = rep_rx.try_pop_with(|entry| {
-        kind = entry.kind;
-        entry.kind = RepKind::Empty;
-        std::mem::swap(msgs, &mut entry.msgs);
-        *error = entry.error.take();
-    });
-    popped.then_some(kind)
-}
-
-/// Blocking reply pop: spin, then park, until a reply arrives or the ring
-/// closes empty (`None` — the follower is gone).
-fn pop_reply_blocking(
-    rep_rx: &mut RingConsumer<'_, RepEntry>,
-    msgs: &mut Vec<Message>,
-    error: &mut Option<CastanetError>,
-) -> Option<RepKind> {
-    let mut rounds = 0u32;
-    loop {
-        if let Some(kind) = take_reply(rep_rx, msgs, error) {
-            return Some(kind);
-        }
-        if rep_rx.is_closed() && !rep_rx.can_pop() {
-            return None;
-        }
-        spin_round();
-        rounds += 1;
-        if rounds >= spin_rounds() && !rep_rx.can_pop() {
-            rep_rx.park_while_empty();
-        }
-    }
-}
-
-/// Originator-side reply handling: inject responses into the network model
-/// (through the executor-shared [`inject_responses`] path, in pipelined
-/// mode), settle window accounting.
-#[allow(clippy::too_many_arguments)]
-fn handle_reply(
-    kind: RepKind,
-    msgs: &mut Vec<Message>,
-    error: Option<CastanetError>,
-    net: &mut Kernel,
-    stats: &mut CouplingStats,
-    iface: ModuleId,
-    in_flight: &mut usize,
-    obs: &mut OriginatorObs,
-) -> Result<(), CastanetError> {
-    match kind {
-        RepKind::Window => {
-            *in_flight = in_flight.saturating_sub(1);
-            obs.occupancy.set(*in_flight as u64);
-            if let Some(sent_ns) = obs.pending.pop_front() {
-                obs.grant_latency
-                    .record(obs.tel.now_ns().saturating_sub(sent_ns));
-            }
-            inject_responses(
-                net,
-                stats,
-                iface,
-                std::mem::take(msgs),
-                true,
-                &obs.tel,
-                &obs.sync_counters,
-            )
-            .map(|_| ())
-        }
-        RepKind::Drained => inject_responses(
-            net,
-            stats,
-            iface,
-            std::mem::take(msgs),
-            true,
-            &obs.tel,
-            &obs.sync_counters,
-        )
-        .map(|_| ()),
-        RepKind::Fatal => Err(error.unwrap_or_else(|| {
-            CastanetError::Transport("parallel follower reported an unspecified fatal error".into())
-        })),
-        RepKind::DrainDone | RepKind::Empty => Ok(()),
-    }
-}
-
-/// Blocking command push. On a full ring the originator first absorbs any
-/// queued replies (freeing the follower to make progress — this is what
-/// makes the two blocking pushes deadlock-free), then spins, then parks.
-/// `fill` is invoked exactly once, on the successful push.
-///
-/// Under the originator loop's pipeline discipline (`in_flight` is held
-/// strictly below the command-ring capacity before every push, and ring
-/// occupancy never exceeds `in_flight`) the full-ring path cannot engage;
-/// it remains as the deadlock-free backstop for any other call pattern.
-#[allow(clippy::too_many_arguments)]
-fn push_cmd(
-    cmd_tx: &mut RingProducer<'_, CmdEntry>,
-    rep_rx: &mut RingConsumer<'_, RepEntry>,
-    reply_buf: &mut Vec<Message>,
-    net: &mut Kernel,
-    stats: &mut CouplingStats,
-    iface: ModuleId,
-    in_flight: &mut usize,
-    obs: &mut OriginatorObs,
-    mut fill: impl FnMut(&mut CmdEntry),
-) -> Result<(), CastanetError> {
-    if cmd_tx.try_push_with(&mut fill) {
-        return Ok(());
-    }
-    // The follower is the bottleneck: every pipeline slot is taken.
-    // Record the blocked push as a stall span on the originator's track.
-    let stall_start = obs.tel.now_ns();
-    obs.stalls.inc();
-    let mut rounds = 0u32;
-    loop {
-        if cmd_tx.is_closed() {
-            return Err(fatal_from(rep_rx, reply_buf));
-        }
-        let mut progressed = false;
-        loop {
-            let mut error = None;
-            let Some(kind) = take_reply(rep_rx, reply_buf, &mut error) else {
-                break;
-            };
-            handle_reply(kind, reply_buf, error, net, stats, iface, in_flight, obs)?;
-            progressed = true;
-        }
-        if cmd_tx.try_push_with(&mut fill) {
-            break;
-        }
-        if progressed {
-            rounds = 0;
-            continue;
-        }
-        spin_round();
-        rounds += 1;
-        if rounds >= spin_rounds() && !cmd_tx.can_push() {
-            cmd_tx.park_while_full();
-        }
-    }
-    obs.tel.record_span(
-        Track::Originator,
-        net.now().as_picos(),
-        stall_start,
-        EventKind::BackpressureStall {
-            in_flight: *in_flight as u64,
-        },
-    );
-    Ok(())
-}
-
-/// Scans the reply ring for the fatal error that made the follower thread
-/// exit; falls back to a transport error if none surfaced.
-fn fatal_from(rep_rx: &mut RingConsumer<'_, RepEntry>, msgs: &mut Vec<Message>) -> CastanetError {
-    let mut error = None;
-    while let Some(kind) = pop_reply_blocking(rep_rx, msgs, &mut error) {
-        if kind == RepKind::Fatal {
-            return error.unwrap_or_else(|| {
-                CastanetError::Transport(
-                    "parallel follower reported an unspecified fatal error".into(),
-                )
-            });
-        }
-    }
-    CastanetError::Transport("parallel follower thread terminated unexpectedly".into())
 }
 
 /// Per-run time-warp state, owned by the follower thread. Speculation is
@@ -1119,11 +963,8 @@ fn settle_speculation<S: CoupledSimulator>(
 /// replies back. The spawn wrapper in [`ParallelCoupling::run`] closes
 /// both rings after this returns — or unwinds — so a blocked peer wakes
 /// and observes termination.
-#[allow(clippy::too_many_arguments)]
 fn follower_worker<S: CoupledSimulator>(
-    follower: &mut S,
-    sync: &mut ConservativeSync,
-    promised: &mut SimTime,
+    side: &mut FollowerSide<S>,
     cell_type: MessageTypeId,
     exec_mode: ExecMode,
     spec_window: SimDuration,
@@ -1169,7 +1010,7 @@ fn follower_worker<S: CoupledSimulator>(
             // one speculation per idle period, not one per poll.
             if let Some(w) = warp.as_mut() {
                 if w.checkpoint.is_none() {
-                    speculate(follower, w);
+                    speculate(&mut side.follower, w);
                     continue;
                 }
             }
@@ -1184,16 +1025,7 @@ fn follower_worker<S: CoupledSimulator>(
         match kind {
             CmdKind::Empty => {}
             CmdKind::Window => {
-                match window_step(
-                    follower,
-                    sync,
-                    promised,
-                    cell_type,
-                    &mut msgs,
-                    grant,
-                    warp.as_mut(),
-                    tel,
-                ) {
+                match window_step(side, cell_type, &mut msgs, grant, warp.as_mut(), tel) {
                     Ok(responses) => {
                         if !push_reply(rep_tx, RepKind::Window, responses, None) {
                             break;
@@ -1207,9 +1039,7 @@ fn follower_worker<S: CoupledSimulator>(
             }
             CmdKind::Drain => {
                 match drain_step(
-                    follower,
-                    sync,
-                    promised,
+                    side,
                     cell_type,
                     quantum,
                     quiet_chunks,
@@ -1266,128 +1096,71 @@ fn push_reply(
     }
 }
 
-/// Plays one timing window on the follower. Conservative mode: queue the
-/// stimulus (raising the originator clock per message), take the grant
-/// (the null message), sweep the whole window in one batched advance, then
-/// settle the local clock — never past the grant. Time-warp mode wraps
-/// the same step with speculation bookkeeping: stimulus rolls an active
-/// speculation back, a grant covering the speculated stretch commits it,
-/// and stimulus-free windows start the next speculation.
-#[allow(clippy::too_many_arguments)]
+/// Plays one timing window on the follower: queue the stimulus (raising
+/// the originator clock per message), take the grant (the null message),
+/// sweep the window in batched advances, then settle the local clock —
+/// never past the grant. Time-warp adds speculation bookkeeping around the
+/// same steps: stimulus rolls an active speculation back before it is
+/// queued, a stimulus-free window settles an active speculation against
+/// the new grant (commit when covered, rollback otherwise) before the
+/// sweep, and a stimulus-free window opens the next speculation.
 fn window_step<S: CoupledSimulator>(
-    follower: &mut S,
-    sync: &mut ConservativeSync,
-    promised: &mut SimTime,
+    side: &mut FollowerSide<S>,
     cell_type: MessageTypeId,
     msgs: &mut Vec<Message>,
     grant: SimTime,
-    warp: Option<&mut WarpState<S>>,
+    mut warp: Option<&mut WarpState<S>>,
     tel: &Telemetry,
 ) -> Result<Vec<Message>, CastanetError> {
-    let Some(warp) = warp else {
-        return conservative_step(follower, sync, promised, cell_type, msgs, grant, tel);
-    };
-    if warp.checkpoint.is_some() && !msgs.is_empty() {
-        // Stimulus invalidates the speculation: it must be delivered to
-        // the pre-speculation state.
-        rollback(follower, warp, tel);
-    }
-    if warp.checkpoint.is_some() {
-        // Stimulus-free window over an active speculation: raise the
-        // grant, then either commit the buffered stretch or (if the
-        // grant still falls short of it) roll back and replay.
-        if grant > *promised {
-            sync.receive(cell_type, grant, true)?;
-            *promised = grant;
-        }
-        let granted = sync.grant();
-        let mut responses = settle_speculation(follower, warp, granted, tel);
-        let advance_start = tel.now_ns();
-        responses.extend(follower.advance_batch(granted)?);
-        tel.record_span(
-            Track::Follower,
-            granted.as_picos(),
-            advance_start,
-            EventKind::FollowerAdvance {
-                granted_ps: granted.as_picos(),
-                responses: responses.len() as u64,
-            },
-        );
-        let local = follower.now().max(sync.local_time()).min(granted);
-        sync.advance_local(local)?;
-        speculate(follower, warp);
-        return Ok(responses);
-    }
     let stimulus_free = msgs.is_empty();
-    let responses = conservative_step(follower, sync, promised, cell_type, msgs, grant, tel)?;
-    if stimulus_free {
-        speculate(follower, warp);
-    }
-    Ok(responses)
-}
-
-/// The conservative window step shared by both execution modes; drains
-/// the stimulus scratch so its capacity returns to the ring.
-fn conservative_step<S: CoupledSimulator>(
-    follower: &mut S,
-    sync: &mut ConservativeSync,
-    promised: &mut SimTime,
-    cell_type: MessageTypeId,
-    msgs: &mut Vec<Message>,
-    grant: SimTime,
-    tel: &Telemetry,
-) -> Result<Vec<Message>, CastanetError> {
-    for msg in msgs.iter() {
-        sync.receive(msg.type_id, msg.stamp, false)?;
-        tel.record(
-            Track::Follower,
-            msg.stamp.as_picos(),
-            EventKind::StimulusEnqueued {
-                type_id: msg.type_id.0,
-                port: msg.port as u32,
-                stamp_ps: msg.stamp.as_picos(),
-            },
-        );
-    }
-    if grant > *promised {
-        sync.receive(cell_type, grant, true)?;
-        *promised = grant;
-    }
-    let granted = sync.grant();
-    let advance_start = tel.now_ns();
-    let mut responses = Vec::new();
-    // Play the batch lazily: advance to just before each stamp, then
-    // deliver. Handing the whole window to the follower up front would
-    // keep its pending-event set large for the window's entire span,
-    // which prices every queue operation of an event-driven follower up
-    // (and defeats idle skipping between cells); delivered one cell
-    // ahead of the sweep, the follower's queue stays as small as under
-    // the serial per-event rendezvous.
-    for msg in msgs.drain(..) {
-        let target = msg.stamp.min(granted);
-        if target > follower.now() {
-            // `target > now() ≥ 0`, so the 1 ps step back cannot
-            // underflow; it keeps the clock edge at the stamp itself
-            // ahead of the delivery.
-            let play_from = target - SimDuration::from_picos(1);
-            if play_from > follower.now() {
-                responses.extend(follower.advance_batch(play_from)?);
-            }
+    if !stimulus_free {
+        if let Some(w) = warp.as_deref_mut() {
+            // Stimulus invalidates the speculation: it must be delivered
+            // to the pre-speculation state.
+            rollback(&mut side.follower, w, tel);
         }
-        follower.deliver(msg)?;
     }
-    responses.extend(follower.advance_batch(granted)?);
-    tel.record_span(
-        Track::Follower,
-        granted.as_picos(),
-        advance_start,
-        EventKind::FollowerAdvance {
-            granted_ps: granted.as_picos(),
-            responses: responses.len() as u64,
-        },
-    );
-    let local = follower.now().max(sync.local_time()).min(granted);
-    sync.advance_local(local)?;
+    for msg in msgs.iter() {
+        side.enqueue(msg, tel, Track::Follower)?;
+    }
+    side.promise(cell_type, grant)?;
+    let granted = side.sync.grant();
+    let committed = match warp.as_deref_mut() {
+        Some(w) => settle_speculation(&mut side.follower, w, granted, tel),
+        None => Vec::new(),
+    };
+    let responses = side.advance(granted, tel, false, |follower| {
+        let mut responses = committed;
+        // Play the batch lazily: advance to just before each stamp, then
+        // deliver. Handing the whole window to the follower up front would
+        // keep its pending-event set large for the window's entire span,
+        // which prices every queue operation of an event-driven follower
+        // up (and defeats idle skipping between cells); delivered one cell
+        // ahead of the sweep, the follower's queue stays as small as under
+        // the serial per-event rendezvous. Draining the scratch returns
+        // its capacity to the ring.
+        for msg in msgs.drain(..) {
+            let target = msg.stamp.min(granted);
+            if target > follower.now() {
+                // `target > now() ≥ 0`, so the 1 ps step back cannot
+                // underflow; it keeps the clock edge at the stamp itself
+                // ahead of the delivery.
+                let play_from = target - SimDuration::from_picos(1);
+                if play_from > follower.now() {
+                    responses.extend(follower.advance_batch(play_from)?);
+                }
+            }
+            follower.deliver(msg)?;
+        }
+        responses.extend(follower.advance_batch(granted)?);
+        Ok(responses)
+    })?;
+    side.settle()?;
+    if stimulus_free {
+        if let Some(w) = warp {
+            speculate(&mut side.follower, w);
+        }
+    }
     Ok(responses)
 }
 
@@ -1398,9 +1171,7 @@ fn conservative_step<S: CoupledSimulator>(
 /// the originator went away mid-drain.
 #[allow(clippy::too_many_arguments)]
 fn drain_step<S: CoupledSimulator>(
-    follower: &mut S,
-    sync: &mut ConservativeSync,
-    promised: &mut SimTime,
+    side: &mut FollowerSide<S>,
     cell_type: MessageTypeId,
     quantum: SimDuration,
     quiet_chunks: u32,
@@ -1415,29 +1186,24 @@ fn drain_step<S: CoupledSimulator>(
     // lets the follower speculate between windows), so the first chunk
     // below resolves it — usually as a commit, the drain horizon being
     // far wider than the speculation window.
-    if let Some(w) = warp.as_mut() {
+    if let Some(w) = warp.as_deref_mut() {
         if w.checkpoint.is_none() {
-            speculate(follower, w);
+            speculate(&mut side.follower, w);
         }
     }
     loop {
-        let horizon = drain_horizon(
-            *promised,
-            follower.now().max(sync.local_time()),
-            quantum,
-            until,
-        );
-        if horizon > *promised {
-            sync.receive(cell_type, horizon, true)?;
-            *promised = horizon;
-        }
-        let granted = sync.grant();
+        let local = side.follower.now().max(side.sync.local_time());
+        side.promise(
+            cell_type,
+            drain_horizon(side.promised(), local, quantum, until),
+        )?;
+        let granted = side.sync.grant();
         let chunk_start = tel.now_ns();
-        let mut responses = match warp.as_mut() {
-            Some(w) => settle_speculation(follower, w, granted, tel),
+        let mut responses = match warp.as_deref_mut() {
+            Some(w) => settle_speculation(&mut side.follower, w, granted, tel),
             None => Vec::new(),
         };
-        responses.extend(follower.advance_batch(granted)?);
+        responses.extend(side.follower.advance_batch(granted)?);
         tel.record_span(
             Track::Follower,
             granted.as_picos(),
@@ -1447,11 +1213,10 @@ fn drain_step<S: CoupledSimulator>(
                 responses: responses.len() as u64,
             },
         );
-        let local = follower.now().max(sync.local_time()).min(granted);
-        sync.advance_local(local)?;
+        side.settle()?;
         if responses.is_empty() {
             quiet += 1;
-            if quiet >= quiet_chunks || follower.now() >= until {
+            if quiet >= quiet_chunks || side.follower.now() >= until {
                 return Ok(true);
             }
         } else {
@@ -1718,7 +1483,7 @@ mod tests {
     #[test]
     fn preflight_accepts_the_fixture_and_strict_mode_runs() {
         let (serial, got) = build(3, SimDuration::from_us(10));
-        let mut coupling = serial.into_parallel().with_strict(true);
+        let mut coupling = serial.with_strict(true).into_parallel();
         assert!(coupling.preflight().is_ok());
         coupling.run(SimTime::from_ms(1)).unwrap();
         assert_eq!(got.len(), 3);

@@ -9,13 +9,16 @@
 //! and the `repro` driver all measure identical configurations.
 
 use castanet::compare::StreamComparator;
-use castanet::coupling::{Coupling, RtlCosim};
-use castanet::cyclecosim::{ClockedCosim, EgressIndices, IngressIndices};
+use castanet::coupling::{CoupledSimulator, Coupling, RtlCosim};
+use castanet::cyclecosim::{
+    ClockedCosim, CompiledCosim, CycleCosim, EgressIndices, IngressIndices,
+};
 use castanet::entity::{CosimEntity, EgressSignals, IngressSignals};
 use castanet::hwloop::{BoardCosim, EgressPorts, IngressPorts};
 use castanet::interface::CastanetInterfaceProcess;
 use castanet::message::{Message, MessageTypeId};
 use castanet::sync::ConservativeSync;
+use castanet::ParallelCoupling;
 use castanet_atm::addr::{HeaderFormat, VpiVci};
 use castanet_atm::cell::{AtmCell, CELL_OCTETS};
 use castanet_atm::traffic::source::{sequenced_payload, TrafficSourceProcess};
@@ -135,17 +138,20 @@ impl SwitchScenarioConfig {
     }
 }
 
-/// A fully assembled switch co-simulation (Fig. 1's left path).
-pub struct SwitchCosim {
+/// A fully assembled switch co-simulation (Fig. 1's left path): the
+/// coupling `C` — a serial [`Coupling`] over one of the follower engines, or
+/// a [`ParallelCoupling`] — with the egress collectors and the
+/// configuration.
+pub struct SwitchCosim<C = Coupling<RtlCosim>> {
     /// The coupled simulation, ready to run.
-    pub coupling: Coupling<RtlCosim>,
+    pub coupling: C,
     /// Cells returned on each egress line, via the interface process.
     pub collectors: Vec<CollectorHandle>,
     /// The configuration it was built from.
     pub config: SwitchScenarioConfig,
 }
 
-impl std::fmt::Debug for SwitchCosim {
+impl<C> std::fmt::Debug for SwitchCosim<C> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwitchCosim")
             .field("config", &self.config)
@@ -153,8 +159,18 @@ impl std::fmt::Debug for SwitchCosim {
     }
 }
 
-impl SwitchCosim {
+impl<S: CoupledSimulator> SwitchCosim<Coupling<S>> {
     /// Attaches a telemetry handle to every layer of the coupling.
+    #[must_use]
+    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
+        self.coupling = self.coupling.with_telemetry(tel);
+        self
+    }
+}
+
+impl<S: CoupledSimulator + Send> SwitchCosim<ParallelCoupling<S>> {
+    /// Attaches a telemetry handle to every layer of the parallel coupling
+    /// (both engine threads record into the same sink and registry).
     #[must_use]
     pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
         self.coupling = self.coupling.with_telemetry(tel);
@@ -300,38 +316,12 @@ pub fn switch_cosim(config: SwitchScenarioConfig) -> SwitchCosim {
     }
 }
 
-/// The cycle-based variant of [`switch_cosim`]: the same network model and
-/// workload, but the follower is the cycle engine with idle skipping — the
-/// paper's §5 "integration of cycle-based simulation techniques".
-pub struct SwitchCosimCycle {
-    /// The coupled simulation, ready to run.
-    pub coupling: Coupling<castanet::CycleCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimCycle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimCycle")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimCycle {
-    /// Attaches a telemetry handle to every layer of the coupling.
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
-}
-
-/// Builds the cycle-based co-simulation (see [`SwitchCosimCycle`]).
-#[must_use]
-pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
+/// The serial switch co-simulation over a clocked follower engine: the
+/// constructor the cycle-based and compiled variants share.
+fn switch_cosim_clocked<E: ClockedEngine>(
+    config: SwitchScenarioConfig,
+    engine: E,
+) -> SwitchCosim<Coupling<ClockedCosim<E>>> {
     let SwitchNet {
         net,
         sync,
@@ -340,67 +330,35 @@ pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosimCycle {
         outbox,
         collectors,
     } = switch_net(&config);
-    let follower = switch_clocked_follower(
-        &config,
-        cell_type,
-        CycleSim::new(Box::new(config.rtl_switch())),
-    );
-    SwitchCosimCycle {
+    let follower = switch_clocked_follower(&config, cell_type, engine);
+    SwitchCosim {
         coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
         collectors,
         config,
     }
 }
 
-/// The parallel-executor variant: the same network model, workload and
-/// cycle-engine follower as [`switch_cosim_cycle`], but hosted on
-/// [`ParallelCoupling`] so the two engines run on separate threads.
-pub struct SwitchCosimParallel {
-    /// The parallel coupled simulation, ready to run.
-    pub coupling: castanet::ParallelCoupling<castanet::CycleCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimParallel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimParallel")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimParallel {
-    /// Attaches a telemetry handle to every layer of the parallel coupling
-    /// (both engine threads record into the same sink and registry).
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
-}
-
-/// Builds the parallel coupled co-simulation (see [`SwitchCosimParallel`]).
+/// The cycle-based variant of [`switch_cosim`]: the same network model and
+/// workload, but the follower is the cycle engine with idle skipping — the
+/// paper's §5 "integration of cycle-based simulation techniques".
 #[must_use]
-pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParallel {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
+pub fn switch_cosim_cycle(config: SwitchScenarioConfig) -> SwitchCosim<Coupling<CycleCosim>> {
+    switch_cosim_clocked(config, CycleSim::new(Box::new(config.rtl_switch())))
+}
+
+/// The parallel-executor variant: [`switch_cosim_cycle`] re-hosted on
+/// [`ParallelCoupling`] so the two engines run on separate threads.
+#[must_use]
+pub fn switch_cosim_parallel(
+    config: SwitchScenarioConfig,
+) -> SwitchCosim<ParallelCoupling<CycleCosim>> {
+    let SwitchCosim {
+        coupling,
         collectors,
-    } = switch_net(&config);
-    let follower = switch_clocked_follower(
-        &config,
-        cell_type,
-        CycleSim::new(Box::new(config.rtl_switch())),
-    );
-    SwitchCosimParallel {
-        coupling: castanet::ParallelCoupling::new(net, follower, sync, cell_type, iface, outbox)
-            .with_strict(true),
+        config,
+    } = switch_cosim_cycle(config);
+    SwitchCosim {
+        coupling: coupling.into_parallel(),
         collectors,
         config,
     }
@@ -408,54 +366,15 @@ pub fn switch_cosim_parallel(config: SwitchScenarioConfig) -> SwitchCosimParalle
 
 /// The compiled-backend variant of [`switch_cosim`]: the same network model
 /// and workload, with the compiled bit-parallel follower carrying the
-/// coupled traffic on lane 0.
-pub struct SwitchCosimCompiled {
-    /// The coupled simulation, ready to run.
-    pub coupling: Coupling<castanet::CompiledCosim>,
-    /// Cells returned on each egress line.
-    pub collectors: Vec<CollectorHandle>,
-    /// The configuration it was built from.
-    pub config: SwitchScenarioConfig,
-}
-
-impl std::fmt::Debug for SwitchCosimCompiled {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwitchCosimCompiled")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
-impl SwitchCosimCompiled {
-    /// Attaches a telemetry handle to every layer of the coupling.
-    #[must_use]
-    pub fn with_telemetry(mut self, tel: &castanet::Telemetry) -> Self {
-        self.coupling = self.coupling.with_telemetry(tel);
-        self
-    }
-}
-
-/// Builds the compiled-backend co-simulation (see [`SwitchCosimCompiled`]).
-/// `lanes` instances run per sweep; network traffic drives lane 0 only —
-/// seed the others through
-/// [`ClockedCosim::seed_cell`] (or use
-/// [`switch_compiled_sweep`]).
+/// coupled traffic on lane 0. `lanes` instances run per sweep; network
+/// traffic drives lane 0 only — seed the others through
+/// [`ClockedCosim::seed_cell`] (or use [`switch_compiled_sweep`]).
 #[must_use]
-pub fn switch_cosim_compiled(config: SwitchScenarioConfig, lanes: usize) -> SwitchCosimCompiled {
-    let SwitchNet {
-        net,
-        sync,
-        cell_type,
-        iface,
-        outbox,
-        collectors,
-    } = switch_net(&config);
-    let follower = switch_clocked_follower(&config, cell_type, switch_lane_bank(&config, lanes));
-    SwitchCosimCompiled {
-        coupling: Coupling::new(net, follower, sync, cell_type, iface, outbox).with_strict(true),
-        collectors,
-        config,
-    }
+pub fn switch_cosim_compiled(
+    config: SwitchScenarioConfig,
+    lanes: usize,
+) -> SwitchCosim<Coupling<CompiledCosim>> {
+    switch_cosim_clocked(config, switch_lane_bank(&config, lanes))
 }
 
 /// xorshift64* — the deterministic per-seed stream generator of the sweep
@@ -486,7 +405,6 @@ fn sweep_rng(state: &mut u64) -> u64 {
 /// headers cannot fail).
 #[must_use]
 pub fn switch_compiled_sweep(config: &SwitchScenarioConfig, seeds: &[u64]) -> Vec<Vec<AtmCell>> {
-    use castanet::coupling::CoupledSimulator;
     assert!(
         !seeds.is_empty() && seeds.len() <= castanet_rtl::compiled::LANES,
         "1..={} seeds per sweep",

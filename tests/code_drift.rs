@@ -4,6 +4,10 @@
 //! the DESIGN.md pass tables and the `castanet-lint --codes` output — must
 //! stay in sync with it. A new code without documentation (or a documented
 //! code that no longer exists) fails here, not in review.
+//!
+//! The same holds for metric names the benchmark reads: `cosim-bench`
+//! looks counters up by name with `unwrap_or(0)`, so a counter renamed in
+//! the crates would silently read 0 there instead of failing.
 
 use castanet_lint::{Severity, CODES};
 use std::collections::BTreeMap;
@@ -145,5 +149,105 @@ fn codes_flag_prints_the_registry_verbatim() {
             *severity,
             Severity::Error | Severity::Warning | Severity::Info
         ));
+    }
+}
+
+/// Non-test source of a file: everything before its first `#[cfg(test)]`.
+fn non_test_source(path: &std::path::Path) -> String {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    match text.find("#[cfg(test)]") {
+        Some(at) => text[..at].to_string(),
+        None => text,
+    }
+}
+
+fn rust_files(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Every string literal passed as `<prefix>"…")` in `text`.
+fn call_literals<'t>(text: &'t str, prefix: &str) -> Vec<&'t str> {
+    text.match_indices(prefix)
+        .filter_map(|(at, _)| {
+            let rest = &text[at + prefix.len()..];
+            let end = rest.find('"')?;
+            rest[end..].starts_with("\")").then_some(&rest[..end])
+        })
+        .collect()
+}
+
+#[test]
+fn counters_the_benchmark_reads_are_registered_by_the_crates() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut registered = std::collections::BTreeSet::new();
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    for file in &files {
+        let text = non_test_source(file);
+        registered.extend(
+            call_literals(&text, ".counter(\"")
+                .into_iter()
+                .map(str::to_string),
+        );
+    }
+    let bench = repo_file("cosim-bench/src/main.rs");
+    let read = call_literals(&bench, "counter(\"");
+    assert!(
+        read.iter().any(|n| n.starts_with("ring.")),
+        "found no counter reads in cosim-bench/src/main.rs: {read:?}"
+    );
+    for name in read {
+        assert!(
+            registered.contains(name),
+            "cosim-bench reads counter {name:?}, which no `.counter(\"…\")` call in \
+             crates/*/src registers"
+        );
+    }
+}
+
+#[test]
+fn a_compiled_time_warp_run_registers_the_benchmark_counters() {
+    use castanet::{ExecMode, Telemetry};
+    use coverify::scenarios::{switch_cosim_compiled, SwitchScenarioConfig};
+    let cfg = SwitchScenarioConfig {
+        cells_per_source: 5,
+        seed: 1,
+        ..SwitchScenarioConfig::default()
+    };
+    let tel = Telemetry::counters_only();
+    let sc = switch_cosim_compiled(cfg, 1);
+    let mut coupling = sc
+        .coupling
+        .with_telemetry(&tel)
+        .into_parallel()
+        .with_exec_mode(ExecMode::TimeWarp);
+    coupling
+        .run(castanet_netsim::time::SimTime::from_secs(1))
+        .expect("time-warp run");
+    let snap = tel.metrics_snapshot();
+    for name in [
+        "ring.originator_parks",
+        "ring.follower_parks",
+        "timewarp.commits",
+        "timewarp.rollbacks",
+        "compiled.fallback_evals",
+    ] {
+        assert!(
+            snap.counter(name).is_some(),
+            "counter {name} not registered by a time-warp run"
+        );
     }
 }

@@ -682,9 +682,9 @@ fn parallel_executor_never_deadlocks_on_empty_queues() {
         let quantum = SimDuration::from_us(g.range_u64(1, 100));
         let quiet = g.range_u64(1, 4) as u32;
         let mut coupling = coupled_fixture(&stims, SimDuration::from_us(1))
+            .with_drain(quantum, quiet)
             .into_parallel()
-            .with_batching(window, depth)
-            .with_drain(quantum, quiet);
+            .with_batching(window, depth);
         let stats = coupling.run(horizon).expect("run");
         assert_eq!(stats.messages_to_follower, 0);
         assert_eq!(stats.responses, 0);

@@ -157,9 +157,9 @@ fn fresh_event_follower(cell_type: MessageTypeId) -> RtlCosim {
     RtlCosim::new(sim, entity)
 }
 
-/// The compiled bit-parallel follower on the identical DUT: `lanes`
-/// replicated switches behind one bit-sliced pin interface; lane 0 carries
-/// the coupled traffic.
+/// The compiled follower on the identical DUT: a `LaneBank` of `lanes`
+/// replicated switches stepped by one clock edge, each on its own
+/// lane-major input and output words; lane 0 carries the coupled traffic.
 fn fresh_compiled_follower(cell_type: MessageTypeId, lanes: usize) -> CompiledCosim {
     let duts: Vec<Box<dyn CycleDut>> = (0..lanes)
         .map(|_| Box::new(routed_switch()) as Box<dyn CycleDut>)
