@@ -196,8 +196,9 @@ impl CoupledSimulator for RtlCosim {
         // Batched sweep: run the whole window in one kernel call and drain
         // the egress monitors once. The monitors stamp each cell at its
         // completion edge, so collecting late loses no timing information —
-        // this skips the per-time-point `collect` (two mutex locks per
-        // step) that `advance_until`'s zero-overshoot loop pays.
+        // this skips the per-time-point `collect` that `advance_until`'s
+        // zero-overshoot loop pays (one atomic load per egress monitor per
+        // step; a monitor's mutex is taken only once a cell completed).
         self.sim.run_until(horizon)?;
         Ok(self.entity.collect())
     }

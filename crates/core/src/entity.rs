@@ -263,7 +263,8 @@ impl CosimEntity {
 
     /// Allocation-conscious form of [`CosimEntity::collect`]: appends the
     /// response messages to `out` and reuses the internal monitor-drain
-    /// buffer, so polling with no pending cells touches no allocator.
+    /// buffer, so polling with no pending cells touches no allocator and
+    /// takes no lock.
     pub fn collect_into(&mut self, out: &mut Vec<Message>) {
         let mut captured = std::mem::take(&mut self.captured_scratch);
         for (port, handle) in self.egress.iter().enumerate() {

@@ -56,8 +56,11 @@ pub(crate) struct SignalState {
     /// beats a `HashMap` on both lookup and iteration, and keeps the
     /// resolution order deterministic.
     drivers: Vec<(ProcId, LogicVector)>,
-    /// Current resolved value.
-    pub(crate) value: LogicVector,
+    /// Current resolved value; changed only by [`Self::drive`].
+    value: LogicVector,
+    /// `value.to_u64()`, refreshed with `value`: integer pin reads are a
+    /// field load instead of a re-pack of an unchanged vector.
+    word: Option<u64>,
     /// Value before the most recent event (for edge detection).
     pub(crate) previous: LogicVector,
     /// Time of the most recent event.
@@ -73,6 +76,7 @@ impl SignalState {
             width,
             drivers: Vec::new(),
             value: LogicVector::uninitialized(width),
+            word: None,
             previous: LogicVector::uninitialized(width),
             last_event: None,
             event_count: 0,
@@ -110,10 +114,22 @@ impl SignalState {
             false
         } else {
             self.previous = std::mem::replace(&mut self.value, resolved);
+            self.word = self.value.to_u64();
             self.last_event = Some(at);
             self.event_count += 1;
             true
         }
+    }
+
+    /// Current resolved value.
+    pub(crate) fn value(&self) -> &LogicVector {
+        &self.value
+    }
+
+    /// Unsigned reading of the resolved value, when fully defined — the
+    /// cached `value().to_u64()`.
+    pub(crate) fn word(&self) -> Option<u64> {
+        self.word
     }
 
     /// `true` when the signal had an event at exactly `t`.

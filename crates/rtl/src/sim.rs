@@ -562,7 +562,7 @@ impl Simulator {
         SignalInfo {
             name: s.name.clone(),
             width: s.width,
-            value: s.value.clone(),
+            value: s.value().clone(),
             event_count: s.event_count,
         }
     }
@@ -679,19 +679,19 @@ impl Simulator {
     /// Panics on a foreign `SignalId`.
     #[must_use]
     pub fn read(&self, signal: SignalId) -> &LogicVector {
-        &self.signals[signal.0].value
+        self.signals[signal.0].value()
     }
 
     /// Bit 0 of a signal.
     #[must_use]
     pub fn read_bit(&self, signal: SignalId) -> Logic {
-        self.signals[signal.0].value.bit(0)
+        self.signals[signal.0].value().bit(0)
     }
 
     /// Unsigned reading of a signal, when fully defined.
     #[must_use]
     pub fn read_u64(&self, signal: SignalId) -> Option<u64> {
-        self.signals[signal.0].value.to_u64()
+        self.signals[signal.0].word()
     }
 
     // ------------------------------------------------------------------
@@ -829,7 +829,7 @@ impl Simulator {
                                 self.trace_log.push((
                                     t,
                                     pos as usize,
-                                    self.signals[signal.0].value.clone(),
+                                    self.signals[signal.0].value().clone(),
                                 ));
                             }
                             for &p in &self.watchers[signal.0] {
@@ -1021,19 +1021,19 @@ impl RtlCtx<'_> {
     /// Current resolved value of a signal.
     #[must_use]
     pub fn read(&self, signal: SignalId) -> &LogicVector {
-        &self.signals[signal.0].value
+        self.signals[signal.0].value()
     }
 
     /// Bit 0 of a signal.
     #[must_use]
     pub fn read_bit(&self, signal: SignalId) -> Logic {
-        self.signals[signal.0].value.bit(0)
+        self.signals[signal.0].value().bit(0)
     }
 
     /// Unsigned reading, when fully defined.
     #[must_use]
     pub fn read_u64(&self, signal: SignalId) -> Option<u64> {
-        self.signals[signal.0].value.to_u64()
+        self.signals[signal.0].word()
     }
 
     /// `true` when `signal` had an event in the delta cycle that woke this

@@ -20,6 +20,7 @@ use castanet_atm::cell::CELL_OCTETS;
 use castanet_atm::idle::idle_cell_bytes;
 use castanet_netsim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A cell scheduled for a specific cell slot on one line.
@@ -150,18 +151,26 @@ type CapturedCell = (SimTime, [u8; CELL_OCTETS]);
 /// Shared view onto the cells a [`CellStreamMonitor`] captured.
 #[derive(Debug, Clone, Default)]
 pub struct MonitorHandle {
-    cells: Arc<Mutex<Vec<CapturedCell>>>,
+    queue: Arc<MonitorQueue>,
+}
+
+/// The captured cells plus their count. The count is written only while
+/// `cells` is locked, so it always equals `cells.len()` as of the last
+/// unlock; reading it needs no lock, which is what lets a collector that
+/// polls after every simulated time step skip the mutex when no cell
+/// completed. Its `Release` stores pair with the `Acquire` loads; the
+/// cells themselves are still read under the mutex.
+#[derive(Debug, Default)]
+struct MonitorQueue {
+    cells: Mutex<Vec<CapturedCell>>,
+    len: AtomicUsize,
 }
 
 impl MonitorHandle {
     /// Number of captured cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.lock().expect("monitor lock poisoned").len()
+        self.queue.len.load(Ordering::Acquire)
     }
 
     /// `true` when nothing has been captured.
@@ -177,19 +186,34 @@ impl MonitorHandle {
     /// Panics if the lock is poisoned.
     #[must_use]
     pub fn take(&self) -> Vec<(SimTime, [u8; CELL_OCTETS])> {
-        std::mem::take(&mut *self.cells.lock().expect("monitor lock poisoned"))
+        let mut cells = self.queue.cells.lock().expect("monitor lock poisoned");
+        self.queue.len.store(0, Ordering::Release);
+        std::mem::take(&mut *cells)
     }
 
     /// Drains the captured `(completion time, cell)` pairs into `out`,
     /// preserving order. Unlike [`MonitorHandle::take`] this keeps the
     /// internal buffer's capacity, so a polling collector allocates
-    /// nothing in steady state.
+    /// nothing in steady state, and it takes no lock when nothing was
+    /// captured.
     ///
     /// # Panics
     ///
     /// Panics if the lock is poisoned.
     pub fn drain_into(&self, out: &mut Vec<(SimTime, [u8; CELL_OCTETS])>) {
-        out.extend(self.cells.lock().expect("monitor lock poisoned").drain(..));
+        if self.is_empty() {
+            return;
+        }
+        let mut cells = self.queue.cells.lock().expect("monitor lock poisoned");
+        self.queue.len.store(0, Ordering::Release);
+        out.extend(cells.drain(..));
+    }
+
+    /// Appends one completed cell.
+    fn push(&self, cell: CapturedCell) {
+        let mut cells = self.queue.cells.lock().expect("monitor lock poisoned");
+        cells.push(cell);
+        self.queue.len.store(cells.len(), Ordering::Release);
     }
 }
 
@@ -234,11 +258,7 @@ impl RtlProcess for CellStreamMonitor {
             if self.index == CELL_OCTETS {
                 self.index = 0;
                 self.in_cell = false;
-                self.out
-                    .cells
-                    .lock()
-                    .expect("monitor lock poisoned")
-                    .push((ctx.now(), self.shift));
+                self.out.push((ctx.now(), self.shift));
             }
         }
     }
@@ -622,6 +642,34 @@ mod tests {
         assert!(is_idle_cell(&cells[1].1));
         assert!(is_idle_cell(&cells[2].1));
         assert!(!is_idle_cell(&cells[3].1), "slot 3 carries the user cell");
+    }
+
+    #[test]
+    fn monitor_count_tracks_the_queue_across_take_and_drain() {
+        // `monitor` stands in for the `CellStreamMonitor`'s clone.
+        let handle = MonitorHandle::default();
+        let monitor = handle.clone();
+        let cell = |n: u8| (SimTime::from_ns(u64::from(n)), [n; CELL_OCTETS]);
+        let mut out = Vec::new();
+        handle.drain_into(&mut out);
+        assert!(out.is_empty() && handle.is_empty());
+
+        monitor.push(cell(1));
+        monitor.push(cell(2));
+        assert_eq!((handle.len(), handle.is_empty()), (2, false));
+        assert_eq!(handle.take(), vec![cell(1), cell(2)]);
+        assert_eq!((handle.len(), handle.is_empty()), (0, true));
+
+        // Cells completed after a `take` must not be hidden by its reset.
+        monitor.push(cell(3));
+        assert_eq!(handle.len(), 1);
+        handle.drain_into(&mut out);
+        assert_eq!(out, vec![cell(3)]);
+        assert!(handle.is_empty());
+        monitor.push(cell(4));
+        handle.drain_into(&mut out);
+        assert_eq!(out, vec![cell(3), cell(4)]);
+        assert_eq!(handle.take(), vec![]);
     }
 
     #[test]

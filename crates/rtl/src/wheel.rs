@@ -15,12 +15,16 @@
 //!
 //! Ordering contract (what the simulator relies on):
 //!
-//! * [`TimingWheel::peek`] returns the minimum pending timestamp;
+//! * [`TimingWheel::peek`] returns the minimum pending timestamp in
+//!   `O(1)`: the wheel caches it, `push` lowers it with a `min`, and
+//!   `pop_into` rescans the levels once after removing the popped
+//!   instant — so a simulator that asks "what is next?" several times per
+//!   time step pays for the level scan once per step, not per question;
 //! * [`TimingWheel::pop_into`] removes *all* entries carrying exactly
 //!   that timestamp and appends them to the output in push order (pushes
 //!   are globally sequence-numbered by the caller and monotone, so push
 //!   order *is* seq order — the property-based test against a
-//!   `BinaryHeap` reference model in `tests/rtl_kernel_props.rs` checks
+//!   `BinaryHeap` reference model in `tests/props.rs` checks
 //!   this end to end);
 //! * the base only advances inside `pop_into`, so a caller may keep
 //!   pushing timestamps as early as the last popped time (the simulator's
@@ -46,6 +50,9 @@ pub struct TimingWheel<T> {
     /// All stored timestamps are `>= base`; advanced by `pop_into`.
     base: u64,
     len: usize,
+    /// Earliest pending timestamp (`None` iff `len == 0`), kept exact by
+    /// `push` and `pop_into` so that [`Self::peek`] is a field read.
+    min: Option<u64>,
     /// Entries moved between slots since the last [`Self::take_cascaded`].
     cascaded: u64,
 }
@@ -76,6 +83,7 @@ impl<T> TimingWheel<T> {
             occupied: [0; LEVELS],
             base: 0,
             len: 0,
+            min: None,
             cascaded: 0,
         }
     }
@@ -129,16 +137,24 @@ impl<T> TimingWheel<T> {
         self.slots[level * SLOTS + slot].push((time, item));
         self.occupied[level] |= 1 << slot;
         self.len += 1;
+        self.min = Some(self.min.map_or(time, |m| m.min(time)));
     }
 
-    /// Earliest pending timestamp, without disturbing the wheel.
+    /// Earliest pending timestamp, without disturbing the wheel. `O(1)`:
+    /// reads the cached minimum.
+    #[must_use]
+    pub fn peek(&self) -> Option<u64> {
+        self.min
+    }
+
+    /// Scans the levels for the earliest pending timestamp; refreshes the
+    /// cached minimum after a pop.
     ///
     /// Within one level every surviving entry shares the base's digits
     /// above that level (anything else would be `< base`), so the first
     /// occupied slot of each level bounds that level's minimum; level 0
     /// slots hold a single exact time, coarser slots are scanned.
-    #[must_use]
-    pub fn peek(&self) -> Option<u64> {
+    fn scan_min(&self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
@@ -199,6 +215,9 @@ impl<T> TimingWheel<T> {
                 self.slots[index] = entries;
             }
         }
+        // `min` still names the popped instant (re-filed bystanders are
+        // all later); one scan finds the next.
+        self.min = self.scan_min();
         Some(time)
     }
 }
@@ -271,6 +290,28 @@ mod tests {
         batch.clear();
         assert_eq!(wheel.pop_into(&mut batch), Some(80));
         assert_eq!(batch, vec![0]);
+    }
+
+    #[test]
+    fn bystander_refiled_while_the_wheel_is_momentarily_empty_sets_peek() {
+        // 100 and 120 share level-1 slot 1 under base 0 and nothing else
+        // is pending: draining that slot takes `len` to 0 before 120 is
+        // re-filed, and the cached minimum must still come out as 120.
+        let mut wheel = TimingWheel::new();
+        wheel.push(100, 0);
+        wheel.push(120, 1);
+        assert_eq!(wheel.peek(), Some(100));
+        let mut batch = Vec::new();
+        assert_eq!(wheel.pop_into(&mut batch), Some(100));
+        assert_eq!(batch, vec![0]);
+        assert_eq!((wheel.len(), wheel.peek()), (1, Some(120)));
+        assert_eq!(wheel.take_cascaded(), 1);
+        batch.clear();
+        assert_eq!(wheel.pop_into(&mut batch), Some(120));
+        assert_eq!(wheel.peek(), None);
+        // A push into the wheel the pop just emptied is the new minimum.
+        wheel.push(130, 2);
+        assert_eq!(wheel.peek(), Some(130));
     }
 
     #[test]

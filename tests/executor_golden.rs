@@ -4,10 +4,13 @@
 //! deliberately ignore timestamps and protocol counters, so a grant issued
 //! one event later, or a stimulus message injected at a different point of
 //! the serial loop, would pass them unnoticed. This test pins exactly those
-//! observables on four pipelines set up as in `cosim-bench`: event-driven
-//! and cycle followers under the serial per-event coupling, the cycle
-//! follower on the pipelined two-thread executor (400 µs windows, ring
-//! depth 8), and the one-lane compiled follower under time-warp.
+//! observables on five pipelines, the first four set up as in
+//! `cosim-bench`: event-driven and cycle followers under the serial
+//! per-event coupling, the cycle follower on the pipelined two-thread
+//! executor (400 µs windows, ring depth 8), the one-lane compiled follower
+//! under time-warp, and the event-driven follower on the same pipelined
+//! executor — the one pipeline that sweeps the event kernel in whole
+//! grant windows (`RtlCosim::advance_batch` → `Simulator::run_until`).
 //!
 //! Pinned per pipeline: [`CouplingStats`], [`SyncStats`] (except under
 //! time-warp, whose `max_lag` depends on how speculation happened to
@@ -135,6 +138,17 @@ fn compiled_time_warp() -> String {
     render("compiled-time-warp", stats, None, &sc.collectors)
 }
 
+fn event_parallel() -> String {
+    let sc = switch_cosim(e1());
+    let mut coupling = sc
+        .coupling
+        .into_parallel()
+        .with_batching(SimDuration::from_us(400), 8);
+    let stats = coupling.run(UNTIL).expect("event-parallel run");
+    let sync = coupling.sync_stats();
+    render("event-parallel", stats, Some(sync), &sc.collectors)
+}
+
 #[test]
 fn both_schedules_match_the_golden_file() {
     let rendered = [
@@ -142,6 +156,7 @@ fn both_schedules_match_the_golden_file() {
         cycle_serial(),
         cycle_parallel(),
         compiled_time_warp(),
+        event_parallel(),
     ]
     .concat();
     let path = concat!(

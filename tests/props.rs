@@ -702,22 +702,29 @@ fn parallel_executor_never_deadlocks_on_empty_queues() {
 #[test]
 fn timing_wheel_matches_binary_heap_reference() {
     use castanet_rtl::wheel::TimingWheel;
+    use std::cell::Cell;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    // The two pushes a cached minimum can get wrong, counted over every
+    // case: into a coarse level under an advanced base (the minimum may
+    // sit above level 0), and into a wheel a pop has just emptied.
+    let coarse_after_advance = Cell::new(0u32);
+    let refill_after_pop = Cell::new(0u32);
     cases("timing_wheel_matches_binary_heap_reference", |g| {
         let mut wheel = TimingWheel::new();
         let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
         let mut seq = 0u64;
         let mut now = 0u64;
         let mut out: Vec<u64> = Vec::new();
+        let mut last_was_pop = false;
         let pop_step = |wheel: &mut TimingWheel<u64>,
                         reference: &mut BinaryHeap<Reverse<(u64, u64)>>,
                         out: &mut Vec<u64>| {
             assert_eq!(
                 wheel.peek(),
                 reference.peek().map(|Reverse((t, _))| *t),
-                "peek disagrees"
+                "peek disagrees before a pop"
             );
             out.clear();
             let t = wheel.pop_into(out).expect("wheel non-empty");
@@ -732,6 +739,9 @@ fn timing_wheel_matches_binary_heap_reference() {
         };
         for _ in 0..g.range_usize(1, 120) {
             if g.bool() || wheel.is_empty() {
+                if wheel.is_empty() && last_was_pop {
+                    refill_after_pop.set(refill_after_pop.get() + 1);
+                }
                 // Burst of pushes at or after the wheel's current base,
                 // mixing same-time, near and far-future stamps so every
                 // hierarchy level gets exercised.
@@ -743,12 +753,22 @@ fn timing_wheel_matches_binary_heap_reference() {
                             2 => g.range_u64(0, 1 << 18),
                             _ => g.range_u64(0, 1 << 40),
                         };
+                    if now > 0 && (t ^ now) >> 6 != 0 {
+                        coarse_after_advance.set(coarse_after_advance.get() + 1);
+                    }
                     wheel.push(t, seq);
                     reference.push(Reverse((t, seq)));
                     seq += 1;
+                    assert_eq!(
+                        wheel.peek(),
+                        reference.peek().map(|Reverse((t, _))| *t),
+                        "peek disagrees after pushing {t}"
+                    );
                 }
+                last_was_pop = false;
             } else {
                 now = pop_step(&mut wheel, &mut reference, &mut out);
+                last_was_pop = true;
             }
         }
         assert_eq!(wheel.len(), reference.len());
@@ -758,6 +778,116 @@ fn timing_wheel_matches_binary_heap_reference() {
         assert!(wheel.is_empty());
         assert_eq!(wheel.peek(), None);
     });
+    assert!(
+        coarse_after_advance.get() > 0,
+        "no coarse push under an advanced base"
+    );
+    assert!(
+        refill_after_pop.get() > 0,
+        "no push into a wheel a pop emptied"
+    );
+}
+
+/// The simulator's cached integer reading of every signal against a fresh
+/// `to_u64` of its resolved value, through random multi-driver traffic:
+/// up to three scripted driver processes plus external pokes per signal,
+/// all nine values, weak `L`/`H` words, and releases to `Z`. Checked from
+/// outside after every time step (`Simulator::read_u64`) and from inside
+/// a process woken by every event (`RtlCtx::read_u64`).
+#[test]
+fn cached_pin_word_matches_resolved_value() {
+    use castanet_rtl::signal::SignalId;
+    use castanet_rtl::sim::{RtlCtx, RtlProcess, Simulator};
+    use std::cell::Cell;
+
+    /// Drives one signal through a list of `(delay ps, value)` steps.
+    struct Script {
+        signal: SignalId,
+        steps: Vec<(u64, LogicVector)>,
+        next: usize,
+    }
+    impl Script {
+        fn arm(&self, ctx: &mut RtlCtx) {
+            if let Some(&(delay, _)) = self.steps.get(self.next) {
+                ctx.wake_after(SimDuration::from_picos(delay));
+            }
+        }
+    }
+    impl RtlProcess for Script {
+        fn init(&mut self, ctx: &mut RtlCtx) {
+            self.arm(ctx);
+        }
+        fn run(&mut self, ctx: &mut RtlCtx) {
+            ctx.assign(self.signal, self.steps[self.next].1.clone());
+            self.next += 1;
+            self.arm(ctx);
+        }
+    }
+
+    /// Sensitive to every signal; checks the in-process read path.
+    struct Checker(Vec<SignalId>);
+    impl RtlProcess for Checker {
+        fn run(&mut self, ctx: &mut RtlCtx) {
+            for &s in &self.0 {
+                assert_eq!(ctx.read_u64(s), ctx.read(s).to_u64(), "RtlCtx read of {s}");
+            }
+        }
+    }
+
+    fn gen_drive(g: &mut Gen, width: usize) -> LogicVector {
+        match g.range_usize(0, 4) {
+            0 => LogicVector::from_u64(g.u64() & (u64::MAX >> (64 - width)), width),
+            1 => LogicVector::high_z(width),
+            2 => LogicVector::from_bits(&g.vec_of(width, width + 1, |g| {
+                if g.bool() {
+                    Logic::H
+                } else {
+                    Logic::L
+                }
+            })),
+            _ => LogicVector::from_bits(&g.vec_of(width, width + 1, gen_logic)),
+        }
+    }
+
+    // Both readings must occur, or the property says nothing.
+    let defined = Cell::new(0u64);
+    let undefined = Cell::new(0u64);
+    cases("cached_pin_word_matches_resolved_value", |g| {
+        let mut sim = Simulator::new();
+        let signals: Vec<SignalId> = (0..g.range_usize(1, 5))
+            .map(|i| sim.add_signal(format!("s{i}"), g.range_usize(1, 65)))
+            .collect();
+        for &s in &signals {
+            let width = sim.read(s).width();
+            for _ in 0..g.range_usize(1, 4) {
+                let steps = (0..g.range_usize(1, 12))
+                    .map(|_| (g.range_u64(0, 3) * 1000, gen_drive(g, width)))
+                    .collect();
+                sim.add_process(
+                    Box::new(Script {
+                        signal: s,
+                        steps,
+                        next: 0,
+                    }),
+                    &[],
+                );
+            }
+            for _ in 0..g.range_usize(0, 4) {
+                let at = SimTime::from_picos(g.range_u64(0, 20) * 1000);
+                sim.poke(s, gen_drive(g, width), at).expect("poke");
+            }
+        }
+        sim.add_process(Box::new(Checker(signals.clone())), &signals);
+        while sim.step_time().expect("no delta runaway") {
+            for &s in &signals {
+                let word = sim.read_u64(s);
+                assert_eq!(word, sim.read(s).to_u64(), "Simulator read of {s}");
+                let tally = if word.is_some() { &defined } else { &undefined };
+                tally.set(tally.get() + 1);
+            }
+        }
+    });
+    assert!(defined.get() > 0 && undefined.get() > 0);
 }
 
 fn gen_logic(g: &mut Gen) -> Logic {
